@@ -15,10 +15,11 @@
 //	GET    /v1/defend/{id} per-arm trace progress; the security report once done
 //	DELETE /v1/defend/{id} cancel a running evaluation
 //	GET    /healthz        liveness (503 while draining)
-//	GET    /varz           queue depth, in-flight, cycles, latency percentiles,
-//	                       training job counters and measurement-cache stats
-//	GET    /metrics        the same state as Prometheus text format, plus
-//	                       per-endpoint and per-training-phase histograms
+//	GET    /metrics        Prometheus text format: queue depth, in-flight,
+//	                       cycles, per-endpoint and per-training-phase
+//	                       latency histograms, train/defend job counters,
+//	                       and the measurement cache's hits, misses and
+//	                       entries
 //	GET    /v1/trace       Chrome-trace JSON snapshot of the span ring
 //
 // With -debug-addr a second loopback-intended listener additionally
@@ -37,7 +38,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"log"
 	"net/http"
@@ -112,7 +112,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("emsim-serve: %v", err)
 	}
-	expvar.Publish("emsim", srv.Vars())
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

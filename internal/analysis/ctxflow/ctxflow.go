@@ -1,5 +1,6 @@
 // Package ctxflow checks cancellation hygiene in the packages that
-// thread context.Context down to blocking work (core, serve, defend):
+// thread context.Context down to blocking work (core, serve, defend,
+// par):
 //
 //   - a declared context.Context parameter must actually be used in the
 //     function body — a dropped ctx silently severs the caller's
@@ -27,6 +28,7 @@ var DefaultPaths = []string{
 	"emsim/internal/core",
 	"emsim/internal/serve",
 	"emsim/internal/defend",
+	"emsim/internal/par",
 }
 
 // Analyzer checks the default package set.

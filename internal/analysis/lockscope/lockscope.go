@@ -1,9 +1,9 @@
 // Package lockscope checks mutex hygiene in the lock-heavy packages
 // (serve's registries and scheduler, core's trainer/cache/pool,
-// defend's evaluator): a sync.Mutex/RWMutex critical section must not
-// perform operations that can block indefinitely or run foreign code,
-// and a function that returns with a lock held must have deferred the
-// unlock.
+// defend's evaluator, par's fan-out): a sync.Mutex/RWMutex critical
+// section must not perform operations that can block indefinitely or
+// run foreign code, and a function that returns with a lock held must
+// have deferred the unlock.
 //
 // The analyzer performs a linear, source-order scan of each function
 // body (function literals are scanned as their own scopes), tracking
@@ -44,6 +44,7 @@ var DefaultPaths = []string{
 	"emsim/internal/core",
 	"emsim/internal/serve",
 	"emsim/internal/defend",
+	"emsim/internal/par",
 }
 
 // Analyzer checks the default package set.

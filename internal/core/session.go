@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"emsim/internal/cpu"
 	"emsim/internal/obs"
+	"emsim/internal/par"
 	"emsim/internal/signal"
 )
 
@@ -177,81 +175,30 @@ func (s *Session) SimulateBatch(programs [][]uint32, workers int) ([][]float64, 
 
 // SimulateBatchContext is SimulateBatch with cancellation: in-flight
 // simulations abort within cpu.CtxCheckInterval cycles of the context
-// being cancelled, and the batch returns ctx.Err().
-//
-// Error propagation is deterministic: after any program fails, workers
-// stop claiming programs beyond the lowest failing index but keep
-// simulating the ones before it, so the reported error is always the
-// lowest-indexed failure the batch contains — not whichever goroutine
-// lost the race.
+// being cancelled, and the batch returns ctx.Err(). The fan-out, its
+// result order and its error precedence are par.Ordered's.
 func (s *Session) SimulateBatchContext(ctx context.Context, programs [][]uint32, workers int) ([][]float64, error) {
 	if len(programs) == 0 {
 		return nil, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(programs) {
-		workers = len(programs)
-	}
 	obs.Begin(spanBatch, s.lane)
 	defer obs.End(spanBatch, s.lane)
 	out := make([][]float64, len(programs))
-	var (
-		next    atomic.Int64
-		errIdx  atomic.Int64 // lowest failing program index so far
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-		byIndex = make(map[int]error)
-	)
-	errIdx.Store(int64(len(programs))) // sentinel: nothing failed
-	// fail records a failure at program index i (or -1 for a batch-level
-	// setup failure, which outranks every program).
-	fail := func(i int, err error) {
-		mu.Lock()
-		if _, dup := byIndex[i]; !dup {
-			byIndex[i] = err
-		}
-		mu.Unlock()
-		for {
-			cur := errIdx.Load()
-			if int64(i) >= cur || errIdx.CompareAndSwap(cur, int64(i)) {
-				return
-			}
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			ws, err := NewSession(s.model, s.cfg)
+	err := par.Ordered(ctx, len(programs), workers,
+		func() (*Session, error) { return NewSession(s.model, s.cfg) },
+		func(ctx context.Context, ws *Session, i int) ([]float64, error) {
+			sig, err := ws.SimulateProgramContext(ctx, programs[i])
 			if err != nil {
-				fail(-1, err)
-				return
+				return nil, fmt.Errorf("core: batch program %d: %w", i, err)
 			}
-			for {
-				i := int(next.Add(1)) - 1
-				// Work beyond the lowest known failure is moot — the batch
-				// errors anyway — but everything before it must still run so
-				// an even earlier failure can surface deterministically.
-				if i >= len(programs) || int64(i) > errIdx.Load() {
-					return
-				}
-				sig, err := ws.SimulateProgramContext(ctx, programs[i])
-				if err != nil {
-					fail(i, fmt.Errorf("core: batch program %d: %w", i, err))
-				} else {
-					out[i] = sig
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if idx := int(errIdx.Load()); idx < len(programs) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, byIndex[idx]
+			return sig, nil
+		},
+		func(i int, sig []float64) error {
+			out[i] = sig
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -36,8 +36,7 @@ type TrainOptions struct {
 	// measurer replicas capture probe programs concurrently. The fitted
 	// model is byte-identical at every worker count (per-program noise
 	// streams plus ordered reduction), so this is purely a wall-clock
-	// knob. 0 selects GOMAXPROCS; 1 measures inline on the calling
-	// goroutine.
+	// knob. 0 selects GOMAXPROCS.
 	Workers int
 	// Progress, when non-nil, receives one event per phase start and
 	// per completed measurement. Worker goroutines invoke it

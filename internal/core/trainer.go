@@ -4,14 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"emsim/internal/cpu"
 	"emsim/internal/device"
 	"emsim/internal/obs"
+	"emsim/internal/par"
 	"emsim/internal/signal"
 )
 
@@ -99,12 +98,11 @@ type Progress struct {
 // measurement campaign. Build one with NewTrainer and drive it with Run;
 // a Trainer is single-use.
 type Trainer struct {
-	dev     *device.Device
-	cfg     cpu.Config // model-core config (device's, defect switches cleared)
-	opts    TrainOptions
-	workers int
-	fp      uint64 // device fingerprint, the cache-key device component
-	lane    int    // trace lane the phase/fit spans render on
+	dev  *device.Device
+	cfg  cpu.Config // model-core config (device's, defect switches cleared)
+	opts TrainOptions
+	fp   uint64 // device fingerprint, the cache-key device component
+	lane int    // trace lane the phase/fit spans render on
 
 	kernel signal.Kernel
 
@@ -124,17 +122,13 @@ func NewTrainer(dev *device.Device, opts TrainOptions) (*Trainer, error) {
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("core: negative training worker count %d", opts.Workers)
 	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	cfg := dev.Options().CPU
 	cfg.BuggyMul = false
 	// Surface configuration errors here rather than from inside a worker.
 	if _, err := cpu.New(cfg); err != nil {
 		return nil, err
 	}
-	return &Trainer{dev: dev, cfg: cfg, opts: opts, workers: workers, fp: dev.Fingerprint(), lane: obs.NextLane()}, nil
+	return &Trainer{dev: dev, cfg: cfg, opts: opts, fp: dev.Fingerprint(), lane: obs.NextLane()}, nil
 }
 
 // Train runs the full campaign and returns the fitted model. It is the
@@ -357,85 +351,27 @@ func (t *Trainer) measureOne(ctx context.Context, w *trainWorker, words []uint32
 	return r, nil
 }
 
-// measureAll measures every program of one phase and returns the
-// artifacts in program order. With one worker it runs inline on the
-// calling goroutine; otherwise workers claim indices atomically and
-// write into an index-ordered result slice, so completion order can
-// never leak into the fit. On failure the lowest-index recorded error
-// wins, keeping error reporting independent of scheduling too.
+// measureAll measures every program of one phase on par.Ordered and
+// returns the artifacts in program order, so completion order can never
+// leak into the fit and the lowest-index error wins.
 //
 //emsim:ordered
 func (t *Trainer) measureAll(ctx context.Context, phase Phase, programs [][]uint32) ([]*rawMeasurement, error) {
 	results := make([]*rawMeasurement, len(programs))
-	workers := t.workers
-	if workers > len(programs) {
-		workers = len(programs)
-	}
-	if workers <= 1 {
-		w, err := t.newWorker()
-		if err != nil {
-			return nil, err
-		}
-		for i, words := range programs {
-			r, err := t.measureOne(ctx, w, words)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-			t.noteProgress(phase)
-		}
-		return results, nil
-	}
-
-	var (
-		wg     sync.WaitGroup
-		next   atomic.Int64
-		failed atomic.Bool
-	)
-	errs := make([]error, len(programs)) // per-program errors, by index
-	workerErrs := make([]error, workers) // replica-construction failures
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			w, err := t.newWorker()
-			if err != nil {
-				workerErrs[wi] = err
-				failed.Store(true)
-				return
-			}
-			for {
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(programs) {
-					return
-				}
-				r, err := t.measureOne(ctx, w, programs[i])
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				results[i] = r
+	err := par.Ordered(ctx, len(programs), t.opts.Workers, t.newWorker,
+		func(ctx context.Context, w *trainWorker, i int) (*rawMeasurement, error) {
+			r, err := t.measureOne(ctx, w, programs[i])
+			if err == nil {
 				t.noteProgress(phase)
 			}
-		}(wi)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+			return r, err
+		},
+		func(i int, r *rawMeasurement) error {
+			results[i] = r
+			return nil
+		})
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, err := range workerErrs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return results, nil
 }

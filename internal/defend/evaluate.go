@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"emsim/internal/aes"
@@ -14,6 +12,7 @@ import (
 	"emsim/internal/cpu"
 	"emsim/internal/leakage"
 	"emsim/internal/obs"
+	"emsim/internal/par"
 	"emsim/internal/stats"
 )
 
@@ -99,9 +98,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Fixed == ([16]byte{}) {
 		o.Fixed = DefaultFixed
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.TVLATraces == 0 {
 		o.TVLATraces = 64
@@ -426,13 +422,20 @@ func cpaHypothesisRow(pt byte, row []float64) {
 
 // traceOut is one simulated trace crossing from a worker to the
 // consumer: the amplitude vector (noise added, owned by the receiver)
-// plus the run's cycle and injected-slot counts, or the simulation
-// error for that index.
+// plus the run's cycle and injected-slot counts.
 type traceOut struct {
 	amp      []float64
 	cycles   int
 	injected int
-	err      error
+}
+
+// traceWorker is one simulation replica: a private defended Session,
+// the lane its trace spans render on, and the signal buffer it reuses
+// from trace to trace.
+type traceWorker struct {
+	sess *Session
+	lane int
+	buf  []float64
 }
 
 // streamTraces simulates progs[i] for every i across opts.Workers
@@ -440,113 +443,51 @@ type traceOut struct {
 // consume exactly once, in strictly ascending index order, on the caller
 // goroutine — so consume can fold into accumulators without locks and
 // the reduction is byte-identical at any worker count. Traces are
-// discarded after consumption: at most ~2 traces per worker are resident
-// at once, never the campaign.
-//
-// Worker w owns indices w, w+W, w+2W, ... (static round-robin) and sends
-// over its own single-slot channel; the consumer walks the channels in
-// index order, so no select is needed and arrival order cannot leak into
-// the result. Failures propagate like core.SimulateBatch: the
-// lowest-indexed failing trace wins, deterministically. A consume error
-// stops the campaign the same way.
+// discarded after consumption: par.Ordered keeps at most 2×Workers of
+// them resident, never the campaign. The lowest-indexed failure, from a
+// simulation or from consume, stops the campaign and is returned.
 //
 //emsim:ordered
 func streamTraces(ctx context.Context, opts Options, spec Spec, seed int64, progs [][]uint32, report func(int), consume func(i int, amp []float64, cycles, injected int) error) error {
-	n := len(progs)
-	if n == 0 {
-		return nil
-	}
-	workers := opts.Workers
-	if workers > n {
-		workers = n
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	outs := make([]chan traceOut, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := range outs {
-		out := make(chan traceOut, 1)
-		outs[w] = out
-		go func(w int, out chan traceOut) {
-			defer wg.Done()
-			defer close(out)
-			var cm Countermeasure
-			if spec.Name != "" {
-				var cerr error
-				if cm, cerr = spec.New(); cerr != nil {
-					out <- traceOut{err: cerr}
-					return
-				}
-			}
-			sess, serr := NewSession(opts.Model, opts.CPU, cm, seed)
-			if serr != nil {
-				out <- traceOut{err: serr}
-				return
-			}
-			traceLane := obs.NextLane()
-			var buf []float64
-			for i := w; i < n; i += workers {
-				if runCtx.Err() != nil {
-					return
-				}
-				obs.Begin(spanTrace, traceLane)
-				sig, rerr := sess.SimulateTraceInto(runCtx, buf, int64(i), progs[i])
-				if rerr != nil {
-					obs.End(spanTrace, traceLane)
-					out <- traceOut{err: rerr}
-					continue
-				}
-				noise := rand.New(rand.NewSource(int64(stream(seed, laneNoise, int64(i)))))
-				for k := range sig {
-					sig[k] += opts.NoiseStd * noise.NormFloat64()
-				}
-				amp, aerr := core.ExtractAmplitudes(sig, opts.Model.SamplesPerCycle, opts.Model.Kernel)
-				buf = sig[:0]
-				obs.End(spanTrace, traceLane)
-				if aerr != nil {
-					out <- traceOut{err: aerr}
-					continue
-				}
-				out <- traceOut{amp: amp, cycles: sess.Cycles(), injected: sess.Stats().Injected}
-				// report is concurrency-safe (atomic counter, callback
-				// contract allows concurrent out-of-order calls).
-				report(1)
-			}
-		}(w, out)
-	}
-	var firstErr error
-	for i := 0; i < n; i++ {
-		o, ok := <-outs[i%workers]
-		if !ok {
-			// The worker exited after delivering a setup error for an
-			// earlier index; without one this is a missing-trace bug.
-			firstErr = fmt.Errorf("defend: trace %d missing (worker exited early)", i)
-			break
-		}
-		if o.err != nil {
-			firstErr = o.err
-			break
-		}
-		if cerr := consume(i, o.amp, o.cycles, o.injected); cerr != nil {
-			firstErr = cerr
-			break
-		}
-	}
-	if firstErr != nil {
-		cancel()
-		for _, ch := range outs {
-			for range ch {
+	newWorker := func() (*traceWorker, error) {
+		var cm Countermeasure
+		if spec.Name != "" {
+			var err error
+			if cm, err = spec.New(); err != nil {
+				return nil, err
 			}
 		}
-		wg.Wait()
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+		sess, err := NewSession(opts.Model, opts.CPU, cm, seed)
+		if err != nil {
+			return nil, err
 		}
-		return firstErr
+		return &traceWorker{sess: sess, lane: obs.NextLane()}, nil
 	}
-	wg.Wait()
-	return nil
+	work := func(ctx context.Context, w *traceWorker, i int) (traceOut, error) {
+		obs.Begin(spanTrace, w.lane)
+		sig, err := w.sess.SimulateTraceInto(ctx, w.buf, int64(i), progs[i])
+		if err != nil {
+			obs.End(spanTrace, w.lane)
+			return traceOut{}, err
+		}
+		noise := rand.New(rand.NewSource(int64(stream(seed, laneNoise, int64(i)))))
+		for k := range sig {
+			sig[k] += opts.NoiseStd * noise.NormFloat64()
+		}
+		amp, err := core.ExtractAmplitudes(sig, opts.Model.SamplesPerCycle, opts.Model.Kernel)
+		w.buf = sig[:0]
+		obs.End(spanTrace, w.lane)
+		if err != nil {
+			return traceOut{}, err
+		}
+		// report is concurrency-safe (atomic counter, callback contract
+		// allows concurrent out-of-order calls).
+		report(1)
+		return traceOut{amp: amp, cycles: w.sess.Cycles(), injected: w.sess.Stats().Injected}, nil
+	}
+	return par.Ordered(ctx, len(progs), opts.Workers, newWorker, work, func(i int, o traceOut) error {
+		return consume(i, o.amp, o.cycles, o.injected)
+	})
 }
 
 // sweepSizes returns the doubling TVLA sweep grid {4, 8, 16, ...} capped

@@ -7,6 +7,7 @@ import (
 	"emsim/internal/core"
 	"emsim/internal/cpu"
 	"emsim/internal/device"
+	"emsim/internal/stats"
 )
 
 // robustnessPrograms returns the evaluation workload shared by the §V-B,
@@ -166,30 +167,13 @@ func (e *Env) BoardVariability() (*BoardResult, error) {
 		RetrainedAccuracy: retrained,
 		SelfAccuracy:      self,
 	}
-	res.MISOCorrelation = vectorCorr(e.Model.MISO[:], m2.MISO[:])
+	// A constant coefficient vector has no defined correlation; it
+	// reports as 0 (no transfer evidence).
+	if r, err := stats.Pearson(e.Model.MISO[:], m2.MISO[:]); err == nil {
+		res.MISOCorrelation = r
+	}
 	res.AmpRelativeDistance = ampDistance(e.Model, m2)
 	return res, nil
-}
-
-func vectorCorr(a, b []float64) float64 {
-	var ma, mb float64
-	for i := range a {
-		ma += a[i]
-		mb += b[i]
-	}
-	ma /= float64(len(a))
-	mb /= float64(len(b))
-	var sab, saa, sbb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
-	}
-	if saa == 0 || sbb == 0 {
-		return 0
-	}
-	return sab / math.Sqrt(saa*sbb)
 }
 
 func ampDistance(a, b *core.Model) float64 {

@@ -3,11 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"sync"
-	"time"
 
 	"emsim/internal/defend"
 	"emsim/internal/obs"
@@ -21,19 +17,7 @@ var spanDefendJob = obs.RegisterSpan("serve.defend-job")
 // POST /v1/defend submits a defend.Evaluate campaign against the
 // server's model and returns a job ID; GET /v1/defend/{id} reports
 // per-arm trace progress and, once done, the SecurityReport; DELETE
-// cancels. A campaign simulates on the order of a thousand AES traces
-// per arm, so jobs run on their own goroutines gated by a small
-// semaphore — the same shape as the training registry — rather than
-// through the simulation worker pool.
-
-// Defense job states (shared vocabulary with training jobs).
-const (
-	defendQueued    = "queued"
-	defendRunning   = "running"
-	defendDone      = "done"
-	defendFailed    = "failed"
-	defendCancelled = "cancelled"
-)
+// cancels.
 
 // defendRequest is the POST /v1/defend body. Zero-valued campaign
 // fields take the defend.Options defaults.
@@ -63,258 +47,66 @@ type defendStatus struct {
 	Report    json.RawMessage `json:"report,omitempty"`
 }
 
-// defendJob is one evaluation campaign and its observable state.
-type defendJob struct {
-	id     string
-	cancel context.CancelFunc
-	met    *metrics
-
-	mu       sync.Mutex
-	state    string
-	arm      string
-	armDone  map[string]int // per-arm trace progress
-	armTotal int            // traces per arm
-	started  time.Time
-	elapsed  time.Duration // frozen at completion
-	err      string
-	report   []byte // serialized SecurityReport, set when state == done
-	finished bool
+// defendProgress is a defense job's visible progress. Arms run one after
+// the other, every worker of one arm joined before the next starts, so
+// the live arm is the most recent one and earlier arms are complete.
+type defendProgress struct {
+	arm      string // campaign arm currently simulating
+	prior    int    // traces simulated by earlier arms
+	armDone  int    // traces simulated by the live arm
+	armTotal int    // traces per arm
 }
 
-// observe is the Evaluate progress callback. Arms run sequentially (so
-// the most recent arm is the live one) but within an arm the simulation
-// workers invoke it concurrently, with counts possibly out of order;
-// stale per-arm counts are dropped to keep the totals monotonic.
-func (j *defendJob) observe(arm string, done, total int) {
-	j.mu.Lock()
-	j.arm = arm
-	delta := done - j.armDone[arm]
-	if delta > 0 {
-		j.armDone[arm] = done
+// observe applies one Evaluate progress event and returns how many new
+// traces it reports. Within an arm the simulation workers deliver
+// events concurrently, with counts possibly out of order; a stale count
+// is dropped to keep the totals monotonic.
+func (p *defendProgress) observe(arm string, done, total int) int {
+	if arm != p.arm {
+		p.arm, p.prior, p.armDone = arm, p.prior+p.armDone, 0
 	}
-	j.armTotal = total
+	p.armTotal = total
+	delta := done - p.armDone
+	if delta <= 0 {
+		return 0
+	}
+	p.armDone = done
+	return delta
+}
+
+// observeDefend is the Evaluate progress callback of job j; traces
+// counts the campaign's newly simulated traces.
+func observeDefend(j *asyncJob[defendProgress], traces *obs.Counter, arm string, done, total int) {
+	j.mu.Lock()
+	delta := j.progress.observe(arm, done, total)
 	j.mu.Unlock()
-	if delta > 0 && j.met != nil { // met is nil only in unit tests building bare jobs
-		j.met.defendTraces.Add(int64(delta))
-	}
+	traces.Add(int64(delta))
 }
 
-func (j *defendJob) setRunning() {
-	j.mu.Lock()
-	j.state = defendRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-}
-
-// finish records the campaign outcome exactly once. The error is
-// rendered before taking the lock: Error is foreign code and has no
-// business inside the critical section.
-func (j *defendJob) finish(report []byte, err error) {
-	var msg string
-	if err != nil {
-		msg = err.Error()
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.finished {
-		return
-	}
-	j.finished = true
-	if !j.started.IsZero() {
-		j.elapsed = time.Since(j.started)
-	}
-	switch {
-	case err == nil:
-		j.state = defendDone
-		j.report = report
-	case errors.Is(err, context.Canceled):
-		j.state = defendCancelled
-	default:
-		j.state = defendFailed
-		j.err = msg
-	}
-}
-
-// status snapshots the job for the wire, including the report only when
-// asked.
-func (j *defendJob) status(withReport bool) defendStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// defendStatusOf renders a defense job for the wire, including the
+// report only when asked.
+func defendStatusOf(v jobView[defendProgress], withReport bool) any {
 	st := defendStatus{
-		ID:    j.id,
-		State: j.state,
-		Arm:   j.arm,
-		Total: 2 * j.armTotal,
-		Error: j.err,
+		ID:        v.id,
+		State:     v.state,
+		Arm:       v.progress.arm,
+		Done:      v.progress.prior + v.progress.armDone,
+		Total:     2 * v.progress.armTotal,
+		ElapsedMS: v.elapsedMS,
+		Error:     v.err,
 	}
-	for _, d := range j.armDone {
-		st.Done += d
-	}
-	switch {
-	case j.finished:
-		st.ElapsedMS = j.elapsed.Milliseconds()
-	case !j.started.IsZero():
-		st.ElapsedMS = time.Since(j.started).Milliseconds()
-	}
-	if withReport && j.state == defendDone {
-		st.Report = json.RawMessage(j.report)
+	if withReport && v.state == jobDone {
+		st.Report = json.RawMessage(v.result)
 	}
 	return st
-}
-
-// defendRegistry owns every defense-evaluation job of one server:
-// submission, lookup, the run-concurrency semaphore and drain-time
-// cancellation.
-type defendRegistry struct {
-	base context.Context // parent of every job context (Config.BaseContext)
-	sem  chan struct{}
-	met  *metrics
-
-	mu     sync.Mutex
-	jobs   map[string]*defendJob
-	order  []string // insertion order, for bounded eviction
-	nextID int
-	closed bool
-	wg     sync.WaitGroup
-}
-
-func newDefendRegistry(base context.Context, concurrent int, met *metrics) *defendRegistry {
-	return &defendRegistry{
-		base: base,
-		sem:  make(chan struct{}, concurrent),
-		met:  met,
-		jobs: map[string]*defendJob{},
-	}
-}
-
-// maxDefendRecords bounds the registry; above it, submission evicts the
-// oldest finished job or sheds the request.
-const maxDefendRecords = 64
-
-// submit registers a campaign and starts its runner goroutine. The
-// returned error is nil, errQueueFull (registry full of live jobs) or
-// errDraining.
-func (dr *defendRegistry) submit(opts defend.Options) (*defendJob, error) {
-	dr.mu.Lock()
-	defer dr.mu.Unlock()
-	if dr.closed {
-		return nil, errDraining
-	}
-	if len(dr.jobs) >= maxDefendRecords && !dr.evictLocked() {
-		return nil, errQueueFull
-	}
-	dr.nextID++
-	ctx, cancel := context.WithCancel(dr.base)
-	j := &defendJob{
-		id:      fmt.Sprintf("defend-%d", dr.nextID),
-		cancel:  cancel,
-		met:     dr.met,
-		state:   defendQueued,
-		armDone: map[string]int{},
-	}
-	opts.Progress = j.observe
-	dr.jobs[j.id] = j
-	dr.order = append(dr.order, j.id)
-	dr.met.defendsSubmitted.Add(1)
-	dr.met.defendsActive.Add(1)
-	dr.wg.Add(1)
-	go dr.run(ctx, j, opts)
-	return j, nil
-}
-
-// evictLocked drops the oldest finished job; it reports whether a slot
-// was freed. Callers hold dr.mu.
-func (dr *defendRegistry) evictLocked() bool {
-	for i, id := range dr.order {
-		j := dr.jobs[id]
-		j.mu.Lock()
-		finished := j.finished
-		j.mu.Unlock()
-		if finished {
-			delete(dr.jobs, id)
-			dr.order = append(dr.order[:i], dr.order[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// get looks a job up by ID.
-func (dr *defendRegistry) get(id string) *defendJob {
-	dr.mu.Lock()
-	defer dr.mu.Unlock()
-	return dr.jobs[id]
-}
-
-// run executes one campaign: wait for a concurrency slot, run the
-// evaluation and record the outcome on the job.
-func (dr *defendRegistry) run(ctx context.Context, j *defendJob, opts defend.Options) {
-	defer dr.wg.Done()
-	defer dr.met.defendsActive.Add(-1)
-	finish := func(report []byte, err error) {
-		j.finish(report, err)
-		j.mu.Lock()
-		state := j.state
-		j.mu.Unlock()
-		switch state {
-		case defendDone:
-			dr.met.defendsDone.Add(1)
-		case defendCancelled:
-			dr.met.defendsCancelled.Add(1)
-		default:
-			dr.met.defendsFailed.Add(1)
-		}
-	}
-
-	select {
-	case dr.sem <- struct{}{}:
-		defer func() { <-dr.sem }()
-	case <-ctx.Done():
-		finish(nil, ctx.Err())
-		return
-	}
-	j.setRunning()
-	lane := obs.NextLane()
-	obs.Begin(spanDefendJob, lane)
-	defer obs.End(spanDefendJob, lane)
-	report, err := defend.Evaluate(ctx, opts)
-	if err != nil {
-		finish(nil, err)
-		return
-	}
-	data, err := json.Marshal(report)
-	if err != nil {
-		finish(nil, err)
-		return
-	}
-	finish(data, nil)
-}
-
-// drain cancels every live campaign and waits for all runner goroutines
-// to exit. Safe to call more than once. Jobs are snapshotted under the
-// lock but cancelled outside it: cancel funcs run foreign Done-channel
-// machinery, and submit already refuses new jobs once closed is set.
-func (dr *defendRegistry) drain() {
-	dr.mu.Lock()
-	dr.closed = true
-	jobs := make([]*defendJob, 0, len(dr.jobs))
-	for _, j := range dr.jobs {
-		jobs = append(jobs, j)
-	}
-	dr.mu.Unlock()
-	for _, j := range jobs {
-		j.cancel()
-	}
-	dr.wg.Wait()
 }
 
 // ---- HTTP handlers ----
 
 func (s *Server) handleDefendSubmit(w http.ResponseWriter, r *http.Request) {
 	var req defendRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if status, err := s.decodeRequest(w, r, &req); status != 0 {
+		writeError(w, status, "decode: %v", err)
 		return
 	}
 	spec, err := defend.ParseSpec(req.Defense)
@@ -354,31 +146,17 @@ func (s *Server) handleDefendSubmit(w http.ResponseWriter, r *http.Request) {
 		opts.Workers = s.cfg.DefendWorkers
 	}
 
-	j, err := s.defends.submit(opts)
+	j, err := s.defends.submit(func(ctx context.Context, j *asyncJob[defendProgress]) ([]byte, error) {
+		opts.Progress = func(arm string, done, total int) { observeDefend(j, s.met.defendTraces, arm, done, total) }
+		report, err := defend.Evaluate(ctx, opts)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(report)
+	})
 	if err != nil {
 		s.shed(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.status(false))
-}
-
-func (s *Server) handleDefendStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.defends.get(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such defense job")
-		return
-	}
-	writeJSON(w, http.StatusOK, j.status(true))
-}
-
-func (s *Server) handleDefendCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.defends.get(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such defense job")
-		return
-	}
-	// Cancellation is asynchronous: the campaign unwinds within one
-	// context-check interval per in-flight worker; poll for "cancelled".
-	j.cancel()
-	writeJSON(w, http.StatusAccepted, j.status(false))
+	s.defends.writeStatus(w, http.StatusAccepted, j, false)
 }

@@ -82,12 +82,12 @@ func TestDefendJobLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	if st.ID == "" || st.State != defendQueued {
+	if st.ID == "" || st.State != jobQueued {
 		t.Fatalf("submit: unexpected status %+v", st)
 	}
 
-	final := pollDefend(t, ts.URL, st.ID, defendQueued, defendRunning)
-	if final.State != defendDone {
+	final := pollDefend(t, ts.URL, st.ID, jobQueued, jobRunning)
+	if final.State != jobDone {
 		t.Fatalf("job ended %q (error %q), want done", final.State, final.Error)
 	}
 	if final.Done != final.Total || final.Total != 2*(12+2*4) {
@@ -146,8 +146,8 @@ func TestDefendCancel(t *testing.T) {
 	if dresp.StatusCode != http.StatusAccepted {
 		t.Fatalf("cancel: status %d", dresp.StatusCode)
 	}
-	final := pollDefend(t, ts.URL, st.ID, defendQueued, defendRunning)
-	if final.State != defendCancelled {
+	final := pollDefend(t, ts.URL, st.ID, jobQueued, jobRunning)
+	if final.State != jobCancelled {
 		t.Fatalf("job ended %q, want cancelled", final.State)
 	}
 }

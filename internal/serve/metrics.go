@@ -1,76 +1,18 @@
 package serve
 
 import (
-	"expvar"
 	"io"
-	"sort"
-	"sync"
 	"time"
 
+	"emsim/internal/core"
 	"emsim/internal/obs"
 )
 
-// latencyRingSize is the number of recent request latencies the
-// percentile window holds. A power of two keeps the ring index a mask.
-const latencyRingSize = 1024
-
-// latencyRing is a fixed-size ring of recent request latencies. Writers
-// are the scheduler's workers (one observation per completed job);
-// readers are /varz scrapes, which copy the window out under the lock
-// and sort the copy, so a scrape never blocks the hot path for more
-// than the copy. It backs the /varz percentile summary; the cumulative
-// Prometheus histograms live in the obs registry.
-type latencyRing struct {
-	mu    sync.Mutex
-	buf   [latencyRingSize]float64 // milliseconds
-	count uint64                   // total observations ever
-}
-
-func (r *latencyRing) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	r.mu.Lock()
-	r.buf[r.count&(latencyRingSize-1)] = ms
-	r.count++
-	r.mu.Unlock()
-}
-
-// summary returns the ring's percentile snapshot; the map shape makes it
-// directly consumable by expvar.Func.
-func (r *latencyRing) summary() map[string]float64 {
-	r.mu.Lock()
-	n := int(r.count)
-	if n > latencyRingSize {
-		n = latencyRingSize
-	}
-	window := make([]float64, n)
-	copy(window, r.buf[:n])
-	count := r.count
-	r.mu.Unlock()
-
-	sort.Float64s(window)
-	pick := func(p float64) float64 {
-		if len(window) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(window)-1))
-		return window[i]
-	}
-	return map[string]float64{
-		"count":  float64(count),
-		"p50_ms": pick(0.50),
-		"p90_ms": pick(0.90),
-		"p99_ms": pick(0.99),
-		"max_ms": pick(1.0),
-	}
-}
-
-// metrics is the server's observable state. Every counter and gauge
-// lives in a per-server obs.Registry (rendered at GET /metrics in
-// Prometheus text format) and is simultaneously bridged into an
-// expvar.Map so the established /varz JSON keys keep their exact shape.
-// The registry is per-server — not process-global — so tests can build
-// many servers without duplicate-registration panics; cmd/emsim-serve
-// additionally publishes the expvar map globally once.
+// metrics is the server's observable state. Every counter, gauge and
+// histogram lives in a per-server obs.Registry, rendered at GET /metrics
+// in Prometheus text format. The registry is per-server — not
+// process-global — so tests can build many servers without
+// duplicate-registration panics.
 type metrics struct {
 	reg *obs.Registry
 
@@ -80,27 +22,18 @@ type metrics struct {
 	rejected   *obs.Counter // requests shed with 429 (queue full)
 	cancelled  *obs.Counter // jobs that ended with a cancelled context
 	cycles     *obs.Counter // total simulated clock cycles
-	latency    latencyRing
 
 	// reqLatency holds the per-endpoint request-duration histograms,
 	// keyed by the job's endpoint label ("" falls back to "other").
 	reqLatency map[string]*obs.Histogram
 
-	trainsSubmitted *obs.Counter // training jobs accepted
-	trainsActive    *obs.Gauge   // training jobs queued or running
-	trainsDone      *obs.Counter // training jobs that fitted a model
-	trainsFailed    *obs.Counter // training jobs that ended in error
-	trainsCancelled *obs.Counter // training jobs cancelled by the client or drain
+	trains jobMetrics // /v1/train job lifecycle
 
 	// phaseLatency records per-phase training campaign durations, by
 	// core.Phase index.
 	phaseLatency []*obs.Histogram
 
-	defendsSubmitted *obs.Counter // defense-evaluation jobs accepted
-	defendsActive    *obs.Gauge   // defense-evaluation jobs queued or running
-	defendsDone      *obs.Counter // defense-evaluation jobs that produced a report
-	defendsFailed    *obs.Counter // defense-evaluation jobs that ended in error
-	defendsCancelled *obs.Counter // defense-evaluation jobs cancelled by the client or drain
+	defends jobMetrics // /v1/defend job lifecycle
 
 	tvlaTraces   *obs.Counter // traces simulated by /v1/tvla assessments
 	defendTraces *obs.Counter // traces simulated by defense-evaluation campaigns
@@ -109,7 +42,10 @@ type metrics struct {
 	// analysis cost left; simulation dominates the rest of the request.
 	tvlaAnalysis *obs.Histogram
 
-	vars expvar.Map
+	// The shared measurement cache's statistics, set at scrape time.
+	cacheHits    *obs.Gauge
+	cacheMisses  *obs.Gauge
+	cacheEntries *obs.Gauge
 }
 
 // endpoints are the request-duration histogram labels; jobs carry one.
@@ -126,17 +62,8 @@ func newMetrics(phases []string) *metrics {
 		cancelled:  reg.Counter("emsim_requests_cancelled_total", "jobs that ended with a cancelled context"),
 		cycles:     reg.Counter("emsim_simulated_cycles_total", "total simulated clock cycles"),
 
-		trainsSubmitted: reg.Counter("emsim_train_jobs_submitted_total", "training jobs accepted"),
-		trainsActive:    reg.Gauge("emsim_train_jobs_active", "training jobs queued or running"),
-		trainsDone:      reg.Counter("emsim_train_jobs_total", "finished training jobs by outcome", "state", "done"),
-		trainsFailed:    reg.Counter("emsim_train_jobs_total", "", "state", "failed"),
-		trainsCancelled: reg.Counter("emsim_train_jobs_total", "", "state", "cancelled"),
-
-		defendsSubmitted: reg.Counter("emsim_defend_jobs_submitted_total", "defense-evaluation jobs accepted"),
-		defendsActive:    reg.Gauge("emsim_defend_jobs_active", "defense-evaluation jobs queued or running"),
-		defendsDone:      reg.Counter("emsim_defend_jobs_total", "finished defense-evaluation jobs by outcome", "state", "done"),
-		defendsFailed:    reg.Counter("emsim_defend_jobs_total", "", "state", "failed"),
-		defendsCancelled: reg.Counter("emsim_defend_jobs_total", "", "state", "cancelled"),
+		trains:  newJobMetrics(reg, "train", "training"),
+		defends: newJobMetrics(reg, "defend", "defense-evaluation"),
 
 		tvlaTraces:   reg.Counter("emsim_tvla_traces_total", "traces simulated by /v1/tvla assessments"),
 		defendTraces: reg.Counter("emsim_defend_traces_total", "traces simulated by defense-evaluation campaigns"),
@@ -155,38 +82,15 @@ func newMetrics(phases []string) *metrics {
 		help = ""
 	}
 
-	// The /varz bridge: identical JSON keys to the pre-registry expvar
-	// era, read through the registry handles.
-	intVar := func(v interface{ Value() int64 }) expvar.Func {
-		return func() any { return v.Value() }
-	}
-	m.vars.Init()
-	m.vars.Set("queue_depth", intVar(m.queueDepth))
-	m.vars.Set("in_flight", intVar(m.inFlight))
-	m.vars.Set("requests_accepted", intVar(m.requests))
-	m.vars.Set("requests_rejected", intVar(m.rejected))
-	m.vars.Set("requests_cancelled", intVar(m.cancelled))
-	m.vars.Set("cycles_simulated", intVar(m.cycles))
-	m.vars.Set("latency", expvar.Func(func() any { return m.latency.summary() }))
-	m.vars.Set("trains_submitted", intVar(m.trainsSubmitted))
-	m.vars.Set("trains_active", intVar(m.trainsActive))
-	m.vars.Set("trains_done", intVar(m.trainsDone))
-	m.vars.Set("trains_failed", intVar(m.trainsFailed))
-	m.vars.Set("trains_cancelled", intVar(m.trainsCancelled))
-	m.vars.Set("defends_submitted", intVar(m.defendsSubmitted))
-	m.vars.Set("defends_active", intVar(m.defendsActive))
-	m.vars.Set("defends_done", intVar(m.defendsDone))
-	m.vars.Set("defends_failed", intVar(m.defendsFailed))
-	m.vars.Set("defends_cancelled", intVar(m.defendsCancelled))
-	m.vars.Set("tvla_traces", intVar(m.tvlaTraces))
-	m.vars.Set("defend_traces", intVar(m.defendTraces))
+	m.cacheHits = reg.Gauge("emsim_measurement_cache_hits", "training measurement-cache lookups served from the cache")
+	m.cacheMisses = reg.Gauge("emsim_measurement_cache_misses", "training measurement-cache lookups that measured afresh")
+	m.cacheEntries = reg.Gauge("emsim_measurement_cache_entries", "artifacts held by the training measurement cache")
 	return m
 }
 
 // observeRequest records one completed job's execution time into the
-// /varz percentile ring and the endpoint's Prometheus histogram.
+// endpoint's histogram.
 func (m *metrics) observeRequest(endpoint string, d time.Duration) {
-	m.latency.observe(d)
 	h := m.reqLatency[endpoint]
 	if h == nil {
 		h = m.reqLatency["other"]
@@ -201,9 +105,11 @@ func (m *metrics) observePhase(phase int, d time.Duration) {
 	}
 }
 
-// writePrometheus renders the registry for GET /metrics.
-func (m *metrics) writePrometheus(w io.Writer) error { return m.reg.WritePrometheus(w) }
-
-// Vars exposes the metrics map so cmd/emsim-serve can publish it in the
-// process-global expvar namespace.
-func (m *metrics) Vars() *expvar.Map { return &m.vars }
+// writePrometheus renders the registry for GET /metrics, first setting
+// the cache gauges from the cache's current statistics.
+func (m *metrics) writePrometheus(w io.Writer, cache core.CacheStats) error {
+	m.cacheHits.Set(cache.Hits)
+	m.cacheMisses.Set(cache.Misses)
+	m.cacheEntries.Set(int64(cache.Entries))
+	return m.reg.WritePrometheus(w)
+}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,23 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, data
+}
+
+// scrape reads one unlabeled series from GET /metrics.
+func scrape(t *testing.T, url, series string) int64 {
+	t.Helper()
+	_, data := getBody(t, url+"/metrics")
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s %q: %v", series, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s series", series)
+	return 0
 }
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -54,6 +72,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`emsim_train_jobs_total{state="done"} 0`,
 		`emsim_train_phase_duration_seconds_count{phase="kernel-fit"} 0`,
 		"# TYPE emsim_simulated_cycles_total counter",
+		"emsim_measurement_cache_hits 0",
+		"emsim_measurement_cache_misses 0",
+		"emsim_measurement_cache_entries 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
@@ -168,10 +189,10 @@ func TestTrainCancelMidPhaseDrains(t *testing.T) {
 		if err := json.Unmarshal(data, &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.State == trainRunning && st.Done > 0 && st.Done < st.Total {
+		if st.State == jobRunning && st.Done > 0 && st.Done < st.Total {
 			break
 		}
-		if st.State != trainQueued && st.State != trainRunning {
+		if st.State != jobQueued && st.State != jobRunning {
 			t.Fatalf("job reached %q before the cancel could land mid-phase", st.State)
 		}
 		if time.Now().After(deadline) {
@@ -193,12 +214,12 @@ func TestTrainCancelMidPhaseDrains(t *testing.T) {
 		t.Fatalf("cancel: status %d", dresp.StatusCode)
 	}
 
-	st := pollTrain(t, ts.URL, sub.ID, trainQueued, trainRunning)
-	if st.State != trainCancelled {
+	st := pollTrain(t, ts.URL, sub.ID, jobQueued, jobRunning)
+	if st.State != jobCancelled {
 		t.Fatalf("job ended %q, want cancelled", st.State)
 	}
-	waitVar(t, s, s.met.trainsActive.Value, 0, "trains_active")
-	if got := s.met.trainsCancelled.Value(); got != 1 {
+	waitVar(t, s, s.met.trains.active.Value, 0, "trains_active")
+	if got := s.met.trains.cancelled.Value(); got != 1 {
 		t.Errorf("trains_cancelled = %d, want 1", got)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"emsim/internal/core"
+	"emsim/internal/obs"
 )
 
 // Regression tests for the lockscope/ctxflow fixes: progress observers
@@ -15,35 +16,39 @@ import (
 // locks must not wrap foreign code (error rendering, cancel funcs); and
 // Config.BaseContext must parent every background campaign.
 
-func TestTrainObserveMonotonic(t *testing.T) {
+func TestJobObserveMonotonic(t *testing.T) {
 	// Campaign workers deliver completion counts out of order; a stale
-	// count must not wind the visible counter backwards, while a new
-	// phase resets it.
-	j := &trainJob{id: "train-1", state: trainRunning}
-	j.observe(core.Progress{Phase: core.PhaseKernel, Done: 2, Total: 5})
-	j.observe(core.Progress{Phase: core.PhaseKernel, Done: 1, Total: 5})
-	if st := j.status(false); st.Done != 2 {
-		t.Errorf("stale event moved the counter: Done = %d, want 2", st.Done)
-	}
-	j.observe(core.Progress{Phase: core.PhaseBaseline, Done: 0, Total: 7})
-	st := j.status(false)
-	if st.Phase != core.PhaseBaseline.String() || st.Done != 0 || st.Total != 7 {
-		t.Errorf("phase change not applied: %+v", st)
-	}
-}
-
-func TestDefendObserveMonotonic(t *testing.T) {
-	j := &defendJob{id: "defend-1", state: defendRunning, armDone: map[string]int{}}
-	j.observe("baseline", 3, 10)
-	j.observe("baseline", 2, 10)
-	if st := j.status(false); st.Done != 3 {
-		t.Errorf("stale event moved the counter: Done = %d, want 3", st.Done)
-	}
-	j.observe("shuffle", 1, 10)
-	st := j.status(false)
-	if st.Arm != "shuffle" || st.Done != 4 || st.Total != 20 {
-		t.Errorf("arm change not accumulated: %+v", st)
-	}
+	// count must not wind the visible counter backwards.
+	t.Run("train", func(t *testing.T) {
+		// A new phase resets the counter.
+		j := &asyncJob[trainProgress]{id: "train-1", state: jobRunning}
+		status := func() trainStatus { return trainStatusOf(j.view(), false).(trainStatus) }
+		observeTrain(j, core.Progress{Phase: core.PhaseKernel, Done: 2, Total: 5})
+		observeTrain(j, core.Progress{Phase: core.PhaseKernel, Done: 1, Total: 5})
+		if st := status(); st.Done != 2 {
+			t.Errorf("stale event moved the counter: Done = %d, want 2", st.Done)
+		}
+		observeTrain(j, core.Progress{Phase: core.PhaseBaseline, Done: 0, Total: 7})
+		if st := status(); st.Phase != core.PhaseBaseline.String() || st.Done != 0 || st.Total != 7 {
+			t.Errorf("phase change not applied: %+v", st)
+		}
+	})
+	t.Run("defend", func(t *testing.T) {
+		// A new arm accumulates on top of the finished one, and the trace
+		// counter moves by exactly the new traces.
+		j := &asyncJob[defendProgress]{id: "defend-1", state: jobRunning}
+		status := func() defendStatus { return defendStatusOf(j.view(), false).(defendStatus) }
+		var traces obs.Counter
+		observeDefend(j, &traces, "baseline", 3, 10)
+		observeDefend(j, &traces, "baseline", 2, 10)
+		if st := status(); st.Done != 3 || traces.Value() != 3 {
+			t.Errorf("stale event moved the counters: Done = %d, traces = %d, want 3", st.Done, traces.Value())
+		}
+		observeDefend(j, &traces, "shuffle", 1, 10)
+		if st := status(); st.Arm != "shuffle" || st.Done != 4 || st.Total != 20 || traces.Value() != 4 {
+			t.Errorf("arm change not accumulated: %+v, traces = %d", st, traces.Value())
+		}
+	})
 }
 
 // statusErr is an error whose rendering calls back into the job it is
@@ -55,13 +60,13 @@ func (e statusErr) Error() string {
 	return "boom"
 }
 
-func TestTrainFinishRendersErrorOutsideLock(t *testing.T) {
-	// finish must render err.Error() before taking the job lock; an
-	// error that re-enters status() deadlocked under the old ordering.
-	j := &trainJob{id: "train-1", state: trainRunning}
+// finishWithReentrantError finishes j with an error whose rendering
+// re-enters the job, failing t if finish deadlocks.
+func finishWithReentrantError[P any](t *testing.T, j *asyncJob[P]) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
-		j.finish(nil, statusErr{status: func() { j.status(false) }})
+		j.finish(nil, statusErr{status: func() { j.view() }})
 		close(done)
 	}()
 	select {
@@ -69,24 +74,22 @@ func TestTrainFinishRendersErrorOutsideLock(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("finish deadlocked rendering the error under the job lock")
 	}
-	if st := j.status(false); st.State != trainFailed || st.Error != "boom" {
+}
+
+func TestTrainFinishRendersErrorOutsideLock(t *testing.T) {
+	// finish must render err.Error() before taking the job lock; an
+	// error that re-enters the job deadlocked under the old ordering.
+	j := &asyncJob[trainProgress]{id: "train-1", state: jobRunning}
+	finishWithReentrantError(t, j)
+	if st := trainStatusOf(j.view(), false).(trainStatus); st.State != jobFailed || st.Error != "boom" {
 		t.Errorf("finish recorded %+v, want failed/boom", st)
 	}
 }
 
 func TestDefendFinishRendersErrorOutsideLock(t *testing.T) {
-	j := &defendJob{id: "defend-1", state: defendRunning, armDone: map[string]int{}}
-	done := make(chan struct{})
-	go func() {
-		j.finish(nil, statusErr{status: func() { j.status(false) }})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("finish deadlocked rendering the error under the job lock")
-	}
-	if st := j.status(false); st.State != defendFailed || st.Error != "boom" {
+	j := &asyncJob[defendProgress]{id: "defend-1", state: jobRunning}
+	finishWithReentrantError(t, j)
+	if st := defendStatusOf(j.view(), false).(defendStatus); st.State != jobFailed || st.Error != "boom" {
 		t.Errorf("finish recorded %+v, want failed/boom", st)
 	}
 }
@@ -96,22 +99,15 @@ func TestDrainCancelsOutsideRegistryLock(t *testing.T) {
 	// funcs outside it. A cancel that re-enters the registry (context
 	// machinery running arbitrary callbacks) deadlocked under the old
 	// ordering.
-	tr := newTrainRegistry(context.Background(), 1, newMetrics(nil))
-	jt := &trainJob{id: "train-1", state: trainQueued}
-	jt.cancel = func() { tr.get(jt.id) }
-	tr.jobs[jt.id] = jt
-	tr.order = append(tr.order, jt.id)
-
-	dr := newDefendRegistry(context.Background(), 1, newMetrics(nil))
-	jd := &defendJob{id: "defend-1", state: defendQueued, armDone: map[string]int{}}
-	jd.cancel = func() { dr.get(jd.id) }
-	dr.jobs[jd.id] = jd
-	dr.order = append(dr.order, jd.id)
+	r := newJobs("train", "training", spanTrainJob, context.Background(), 1, newMetrics(nil).trains, trainStatusOf)
+	j := &asyncJob[trainProgress]{id: "train-1", state: jobQueued}
+	j.cancel = func() { r.get(j.id) }
+	r.byID[j.id] = j
+	r.order = append(r.order, j.id)
 
 	done := make(chan struct{})
 	go func() {
-		tr.drain()
-		dr.drain()
+		r.drain()
 		close(done)
 	}()
 	select {
@@ -138,8 +134,8 @@ func TestBaseContextCancelsJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	st := pollTrain(t, ts.URL, sub.ID, trainQueued, trainRunning)
-	if st.State != trainCancelled {
+	st := pollTrain(t, ts.URL, sub.ID, jobQueued, jobRunning)
+	if st.State != jobCancelled {
 		t.Fatalf("job ended %q (error %q) after base-context cancel, want cancelled", st.State, st.Error)
 	}
 }

@@ -12,7 +12,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -136,8 +135,9 @@ type Server struct {
 	cfg     Config
 	sched   *scheduler
 	met     *metrics
-	trains  *trainRegistry
-	defends *defendRegistry
+	cache   *core.MeasurementCache // shared by every /v1/train campaign
+	trains  *jobs[trainProgress]
+	defends *jobs[defendProgress]
 	mux     *http.ServeMux
 }
 
@@ -154,21 +154,25 @@ func New(m *core.Model, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s := &Server{model: m, cfg: cfg, sched: sched, met: met}
-	s.trains = newTrainRegistry(cfg.BaseContext, cfg.MaxTrainJobs, met)
-	s.defends = newDefendRegistry(cfg.BaseContext, cfg.MaxDefendJobs, met)
-	met.vars.Set("train_cache", expvar.Func(func() any { return s.trains.cacheStats() }))
+	s := &Server{
+		model:   m,
+		cfg:     cfg,
+		sched:   sched,
+		met:     met,
+		cache:   core.NewMeasurementCache(),
+		trains:  newJobs("train", "training", spanTrainJob, cfg.BaseContext, cfg.MaxTrainJobs, met.trains, trainStatusOf),
+		defends: newJobs("defend", "defense-evaluation", spanDefendJob, cfg.BaseContext, cfg.MaxDefendJobs, met.defends, defendStatusOf),
+	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("POST /v1/tvla", s.handleTVLA)
 	s.mux.HandleFunc("POST /v1/train", s.handleTrainSubmit)
-	s.mux.HandleFunc("GET /v1/train/{id}", s.handleTrainStatus)
-	s.mux.HandleFunc("DELETE /v1/train/{id}", s.handleTrainCancel)
+	s.mux.HandleFunc("GET /v1/train/{id}", s.trains.handleStatus)
+	s.mux.HandleFunc("DELETE /v1/train/{id}", s.trains.handleCancel)
 	s.mux.HandleFunc("POST /v1/defend", s.handleDefendSubmit)
-	s.mux.HandleFunc("GET /v1/defend/{id}", s.handleDefendStatus)
-	s.mux.HandleFunc("DELETE /v1/defend/{id}", s.handleDefendCancel)
+	s.mux.HandleFunc("GET /v1/defend/{id}", s.defends.handleStatus)
+	s.mux.HandleFunc("DELETE /v1/defend/{id}", s.defends.handleCancel)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /varz", s.handleVarz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	return s, nil
@@ -176,9 +180,6 @@ func New(m *core.Model, cfg Config) (*Server, error) {
 
 // Handler returns the service's route tree.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Vars exposes the server's metrics map for global expvar registration.
-func (s *Server) Vars() *expvar.Map { return s.met.Vars() }
 
 // Close drains the worker pool and the job registries: no new jobs are
 // accepted, every queued or in-flight simulation completes (cancelled
@@ -203,16 +204,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, s.met.vars.String())
-}
-
 // handleMetrics renders the per-server registry in Prometheus text
-// exposition format (the structured sibling of /varz).
+// exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.met.writePrometheus(w)
+	_ = s.met.writePrometheus(w, s.cache.Stats())
 }
 
 // handleTrace serves a Chrome-trace JSON snapshot of the span ring.

@@ -190,20 +190,37 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// TestSimulateOversizedBody413 pins request decoding on every POST
+// endpoint: a body over MaxRequestBytes is 413, and an unknown field or
+// trailing data after the JSON value is 400.
 func TestSimulateOversizedBody413(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxRequestBytes: 1024})
-	big := `{"asm": "` + strings.Repeat("nop\\n", 2048) + `"}`
-	resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
+	bodies := []struct {
+		name string
+		body string
+		want int
+	}{
+		{"oversized", `{"pad": "` + strings.Repeat("x", 2048) + `"}`, http.StatusRequestEntityTooLarge},
+		{"unknown field", `{"nosuch": 1}`, http.StatusBadRequest},
+		{"trailing data", `{} {"x": 1}`, http.StatusBadRequest},
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
+	for _, path := range []string{"/v1/simulate", "/v1/tvla", "/v1/train", "/v1/defend"} {
+		for _, tc := range bodies {
+			t.Run(strings.TrimPrefix(path, "/v1/")+"/"+tc.name, func(t *testing.T) {
+				resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != tc.want {
+					t.Errorf("status %d, want %d", resp.StatusCode, tc.want)
+				}
+			})
+		}
 	}
 }
 
-// waitVar polls one /varz integer until it reaches want or the deadline
+// waitVar polls one metric until it reaches want or the deadline
 // passes.
 func waitVar(t *testing.T, s *Server, get func() int64, want int64, what string) {
 	t.Helper()
@@ -349,24 +366,11 @@ func TestHealthzAndVarz(t *testing.T) {
 	if r, d := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{Asm: loopAsm}); r.StatusCode != 200 {
 		t.Fatalf("simulate status %d: %s", r.StatusCode, d)
 	}
-	resp2, err := http.Get(ts.URL + "/varz")
-	if err != nil {
-		t.Fatal(err)
+	if cycles := scrape(t, ts.URL, "emsim_simulated_cycles_total"); cycles <= 0 {
+		t.Errorf("emsim_simulated_cycles_total = %d, want > 0", cycles)
 	}
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(resp2.Body).Decode(&vars); err != nil {
-		t.Fatalf("varz is not JSON: %v", err)
-	}
-	resp2.Body.Close()
-	for _, key := range []string{"queue_depth", "in_flight", "requests_accepted",
-		"requests_rejected", "cycles_simulated", "latency"} {
-		if _, ok := vars[key]; !ok {
-			t.Errorf("varz missing %q", key)
-		}
-	}
-	var cycles int64
-	if err := json.Unmarshal(vars["cycles_simulated"], &cycles); err != nil || cycles <= 0 {
-		t.Errorf("cycles_simulated = %s, want > 0", vars["cycles_simulated"])
+	if r, _ := getBody(t, ts.URL+"/varz"); r.StatusCode != http.StatusNotFound {
+		t.Errorf("/varz status %d, want 404: /metrics is the only metrics view", r.StatusCode)
 	}
 
 	// Drain flips healthz to 503.

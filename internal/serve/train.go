@@ -4,11 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"sync"
-	"time"
 
 	"emsim/internal/core"
 	"emsim/internal/device"
@@ -23,20 +19,9 @@ var spanTrainJob = obs.RegisterSpan("serve.train-job")
 // a campaign against a fresh synthetic device and returns a job ID;
 // GET /v1/train/{id} reports phase-level progress (fed by the Trainer's
 // progress callback) and, once done, the fitted model; DELETE cancels.
-// Training is hours-of-CPU-scale next to a simulate call, so jobs run on
-// their own goroutines gated by a small semaphore rather than through
-// the simulation worker pool, and every server shares one measurement
-// cache, making a re-submitted campaign against the same device
-// configuration mostly cache hits.
-
-// Training job states.
-const (
-	trainQueued    = "queued"
-	trainRunning   = "running"
-	trainDone      = "done"
-	trainFailed    = "failed"
-	trainCancelled = "cancelled"
-)
+// Every campaign shares the server's measurement cache, making a
+// re-submitted campaign against the same device configuration mostly
+// cache hits.
 
 // trainRequest is the POST /v1/train body. Zero-valued campaign fields
 // take the core.TrainOptions defaults; zero-valued device fields take
@@ -66,270 +51,87 @@ type trainStatus struct {
 	Model     json.RawMessage `json:"model,omitempty"`
 }
 
-// trainJob is one training campaign and its observable state.
-type trainJob struct {
-	id     string
-	cancel context.CancelFunc
-
-	mu       sync.Mutex
-	state    string
-	phase    core.Phase
-	done     int
-	total    int
-	started  time.Time
-	elapsed  time.Duration // frozen at completion
-	err      string
-	model    []byte // serialized model JSON, set when state == done
-	finished bool
+// trainProgress is a training job's visible progress: the phase being
+// measured and its completed and total measurement counts.
+type trainProgress struct {
+	phase       core.Phase
+	done, total int
 }
 
-// observe is the Trainer progress callback. Campaign workers invoke it
-// concurrently and completion counts may arrive out of order within a
-// phase, so stale events (a lower Done for the phase already shown) are
-// dropped to keep the visible counter monotonic.
-func (j *trainJob) observe(p core.Progress) {
-	j.mu.Lock()
+// observe applies one Trainer progress event. Campaign workers deliver
+// events concurrently and completion counts may arrive out of order
+// within a phase, so a stale event (a lower Done for the phase already
+// shown) is dropped to keep the visible counter monotonic.
+func (p *trainProgress) observe(e core.Progress) {
 	switch {
-	case p.Phase != j.phase:
-		j.phase, j.done, j.total = p.Phase, p.Done, p.Total
-	case p.Done > j.done:
-		j.done, j.total = p.Done, p.Total
+	case e.Phase != p.phase:
+		p.phase, p.done, p.total = e.Phase, e.Done, e.Total
+	case e.Done > p.done:
+		p.done, p.total = e.Done, e.Total
 	}
+}
+
+// observeTrain is the Trainer progress callback of job j.
+func observeTrain(j *asyncJob[trainProgress], e core.Progress) {
+	j.mu.Lock()
+	j.progress.observe(e)
 	j.mu.Unlock()
 }
 
-func (j *trainJob) setRunning() {
-	j.mu.Lock()
-	j.state = trainRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-}
-
-// finish records the campaign outcome exactly once. The error is
-// rendered before taking the lock: Error is foreign code (a wrapped
-// chain may format lazily) and has no business inside the critical
-// section.
-func (j *trainJob) finish(model []byte, err error) {
-	var msg string
-	if err != nil {
-		msg = err.Error()
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.finished {
-		return
-	}
-	j.finished = true
-	if !j.started.IsZero() {
-		j.elapsed = time.Since(j.started)
-	}
-	switch {
-	case err == nil:
-		j.state = trainDone
-		j.model = model
-	case errors.Is(err, context.Canceled):
-		j.state = trainCancelled
-	default:
-		j.state = trainFailed
-		j.err = msg
-	}
-}
-
-// status snapshots the job for the wire, including the model only when
-// asked (the list/poll path skips the multi-kilobyte payload).
-func (j *trainJob) status(withModel bool) trainStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// trainStatusOf renders a training job for the wire, including the
+// model only when asked (the submit and cancel responses skip the
+// multi-kilobyte payload).
+func trainStatusOf(v jobView[trainProgress], withModel bool) any {
 	st := trainStatus{
-		ID:    j.id,
-		State: j.state,
-		Done:  j.done,
-		Total: j.total,
-		Error: j.err,
+		ID:        v.id,
+		State:     v.state,
+		Done:      v.progress.done,
+		Total:     v.progress.total,
+		ElapsedMS: v.elapsedMS,
+		Error:     v.err,
 	}
-	if j.state != trainQueued {
-		st.Phase = j.phase.String()
+	if v.state != jobQueued {
+		st.Phase = v.progress.phase.String()
 	}
-	switch {
-	case j.finished:
-		st.ElapsedMS = j.elapsed.Milliseconds()
-	case !j.started.IsZero():
-		st.ElapsedMS = time.Since(j.started).Milliseconds()
-	}
-	if withModel && j.state == trainDone {
-		st.Model = json.RawMessage(j.model)
+	if withModel && v.state == jobDone {
+		st.Model = json.RawMessage(v.result)
 	}
 	return st
 }
 
-// trainRegistry owns every training job of one server: submission,
-// lookup, the run-concurrency semaphore, the shared measurement cache,
-// and drain-time cancellation.
-type trainRegistry struct {
-	base  context.Context // parent of every job context (Config.BaseContext)
-	sem   chan struct{}
-	cache *core.MeasurementCache
-	met   *metrics
-
-	mu     sync.Mutex
-	jobs   map[string]*trainJob
-	order  []string // insertion order, for bounded eviction
-	nextID int
-	closed bool
-	wg     sync.WaitGroup
-}
-
-func newTrainRegistry(base context.Context, concurrent int, met *metrics) *trainRegistry {
-	return &trainRegistry{
-		base:  base,
-		sem:   make(chan struct{}, concurrent),
-		cache: core.NewMeasurementCache(),
-		met:   met,
-		jobs:  map[string]*trainJob{},
-	}
-}
-
-// maxTrainRecords bounds the registry; above it, submission evicts the
-// oldest finished job or sheds the request.
-const maxTrainRecords = 64
-
-// submit registers a campaign and starts its runner goroutine. The
-// returned error is nil, errQueueFull (registry full of live jobs) or
-// errDraining.
-func (tr *trainRegistry) submit(opts core.TrainOptions, devOpts device.Options) (*trainJob, error) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.closed {
-		return nil, errDraining
-	}
-	if len(tr.jobs) >= maxTrainRecords && !tr.evictLocked() {
-		return nil, errQueueFull
-	}
-	tr.nextID++
-	ctx, cancel := context.WithCancel(tr.base)
-	j := &trainJob{id: fmt.Sprintf("train-%d", tr.nextID), cancel: cancel, state: trainQueued}
-	opts.Progress = j.observe
-	opts.Cache = tr.cache
-	tr.jobs[j.id] = j
-	tr.order = append(tr.order, j.id)
-	tr.met.trainsSubmitted.Add(1)
-	tr.met.trainsActive.Add(1)
-	tr.wg.Add(1)
-	go tr.run(ctx, j, opts, devOpts)
-	return j, nil
-}
-
-// evictLocked drops the oldest finished job; it reports whether a slot
-// was freed. Callers hold tr.mu.
-func (tr *trainRegistry) evictLocked() bool {
-	for i, id := range tr.order {
-		j := tr.jobs[id]
-		j.mu.Lock()
-		finished := j.finished
-		j.mu.Unlock()
-		if finished {
-			delete(tr.jobs, id)
-			tr.order = append(tr.order[:i], tr.order[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// get looks a job up by ID.
-func (tr *trainRegistry) get(id string) *trainJob {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.jobs[id]
-}
-
-// run executes one campaign: wait for a concurrency slot, build the
-// device and trainer, and record the outcome on the job.
-func (tr *trainRegistry) run(ctx context.Context, j *trainJob, opts core.TrainOptions, devOpts device.Options) {
-	defer tr.wg.Done()
-	defer tr.met.trainsActive.Add(-1)
-	finish := func(model []byte, err error) {
-		j.finish(model, err)
-		j.mu.Lock()
-		state := j.state
-		j.mu.Unlock()
-		switch state {
-		case trainDone:
-			tr.met.trainsDone.Add(1)
-		case trainCancelled:
-			tr.met.trainsCancelled.Add(1)
-		default:
-			tr.met.trainsFailed.Add(1)
-		}
-	}
-
-	select {
-	case tr.sem <- struct{}{}:
-		defer func() { <-tr.sem }()
-	case <-ctx.Done():
-		finish(nil, ctx.Err())
-		return
-	}
-	j.setRunning()
-	lane := obs.NextLane()
-	obs.Begin(spanTrainJob, lane)
-	defer obs.End(spanTrainJob, lane)
+// runTrain executes one campaign: build the device and trainer, run
+// it, record the phase timings and serialize the fitted model.
+func (s *Server) runTrain(ctx context.Context, opts core.TrainOptions, devOpts device.Options) ([]byte, error) {
 	dev, err := device.New(devOpts)
 	if err != nil {
-		finish(nil, err)
-		return
+		return nil, err
 	}
 	t, err := core.NewTrainer(dev, opts)
 	if err != nil {
-		finish(nil, err)
-		return
+		return nil, err
 	}
 	m, err := t.Run(ctx)
 	for p, d := range t.PhaseTimings() {
 		if d > 0 {
-			tr.met.observePhase(p, d)
+			s.met.observePhase(p, d)
 		}
 	}
 	if err != nil {
-		finish(nil, err)
-		return
+		return nil, err
 	}
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
-		finish(nil, err)
-		return
+		return nil, err
 	}
-	finish(buf.Bytes(), nil)
+	return buf.Bytes(), nil
 }
-
-// drain cancels every live campaign and waits for all runner goroutines
-// to exit. Safe to call more than once. Jobs are snapshotted under the
-// lock but cancelled outside it: cancel funcs run foreign Done-channel
-// machinery, and submit already refuses new jobs once closed is set.
-func (tr *trainRegistry) drain() {
-	tr.mu.Lock()
-	tr.closed = true
-	jobs := make([]*trainJob, 0, len(tr.jobs))
-	for _, j := range tr.jobs {
-		jobs = append(jobs, j)
-	}
-	tr.mu.Unlock()
-	for _, j := range jobs {
-		j.cancel()
-	}
-	tr.wg.Wait()
-}
-
-// cacheStats exposes the shared measurement cache for /varz.
-func (tr *trainRegistry) cacheStats() core.CacheStats { return tr.cache.Stats() }
 
 // ---- HTTP handlers ----
 
 func (s *Server) handleTrainSubmit(w http.ResponseWriter, r *http.Request) {
 	var req trainRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if status, err := s.decodeRequest(w, r, &req); status != 0 {
+		writeError(w, status, "decode: %v", err)
 		return
 	}
 	if req.Seed < 0 || req.Runs < 0 || req.InstancesPerCluster < 0 ||
@@ -366,31 +168,14 @@ func (s *Server) handleTrainSubmit(w http.ResponseWriter, r *http.Request) {
 		devOpts.NoiseSeed = req.NoiseSeed
 	}
 
-	j, err := s.trains.submit(opts, devOpts)
+	j, err := s.trains.submit(func(ctx context.Context, j *asyncJob[trainProgress]) ([]byte, error) {
+		opts.Progress = func(e core.Progress) { observeTrain(j, e) }
+		opts.Cache = s.cache
+		return s.runTrain(ctx, opts, devOpts)
+	})
 	if err != nil {
 		s.shed(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.status(false))
-}
-
-func (s *Server) handleTrainStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.trains.get(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such training job")
-		return
-	}
-	writeJSON(w, http.StatusOK, j.status(true))
-}
-
-func (s *Server) handleTrainCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.trains.get(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such training job")
-		return
-	}
-	// Cancellation is asynchronous: the campaign unwinds within one
-	// capture per in-flight worker; poll the status for "cancelled".
-	j.cancel()
-	writeJSON(w, http.StatusAccepted, j.status(false))
+	s.trains.writeStatus(w, http.StatusAccepted, j, false)
 }

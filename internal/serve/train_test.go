@@ -59,12 +59,12 @@ func TestTrainJobLifecycle(t *testing.T) {
 	if err := json.Unmarshal(data, &sub); err != nil {
 		t.Fatal(err)
 	}
-	if sub.ID == "" || (sub.State != trainQueued && sub.State != trainRunning) {
+	if sub.ID == "" || (sub.State != jobQueued && sub.State != jobRunning) {
 		t.Fatalf("submit returned %+v", sub)
 	}
 
-	st := pollTrain(t, ts.URL, sub.ID, trainQueued, trainRunning)
-	if st.State != trainDone {
+	st := pollTrain(t, ts.URL, sub.ID, jobQueued, jobRunning)
+	if st.State != jobDone {
 		t.Fatalf("job ended %q (error %q), want done", st.State, st.Error)
 	}
 	if st.Phase != core.PhaseMISO.String() || st.Done != st.Total || st.Total == 0 {
@@ -72,6 +72,9 @@ func TestTrainJobLifecycle(t *testing.T) {
 	}
 	if len(st.Model) == 0 {
 		t.Fatal("done job returned no model")
+	}
+	if n := scrape(t, ts.URL, "emsim_measurement_cache_entries"); n == 0 {
+		t.Error("emsim_measurement_cache_entries is 0 after a training campaign")
 	}
 
 	// The trained model must round-trip and — the determinism contract
@@ -119,8 +122,8 @@ func TestTrainJobCancel(t *testing.T) {
 		t.Fatalf("cancel: status %d", dresp.StatusCode)
 	}
 
-	st := pollTrain(t, ts.URL, sub.ID, trainQueued, trainRunning)
-	if st.State != trainCancelled {
+	st := pollTrain(t, ts.URL, sub.ID, jobQueued, jobRunning)
+	if st.State != jobCancelled {
 		t.Fatalf("job ended %q, want cancelled", st.State)
 	}
 	if len(st.Model) != 0 {

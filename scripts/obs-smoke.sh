@@ -81,7 +81,7 @@ echo "== debug listener serves pprof (and mirrors /metrics, /v1/trace)"
 curl -fsS "$DEBUG/debug/pprof/" | grep -q goroutine \
   || { echo "pprof index lists no profiles" >&2; exit 1; }
 curl -fsS "$DEBUG/debug/pprof/cmdline" >/dev/null
-curl -fsS "$DEBUG/metrics" | grep -q emsim_requests_accepted_total \
+curl -fsS "$DEBUG/metrics" | grep emsim_requests_accepted_total >/dev/null \
   || { echo "debug /metrics mirror is empty" >&2; exit 1; }
 curl -fsS "$DEBUG/v1/trace" | grep -q traceEvents \
   || { echo "debug /v1/trace mirror is malformed" >&2; exit 1; }

@@ -49,9 +49,9 @@ RESP=$(curl -fsS -X POST -d "$BODY" "$BASE/v1/simulate")
 echo "$RESP" | grep -q '"cycles":' || { echo "no cycles in response: $RESP" >&2; exit 1; }
 echo "$RESP" | grep -q '"stages":' || { echo "no stages in response: $RESP" >&2; exit 1; }
 
-echo "== simulate (words) + varz"
+echo "== simulate (words) + metrics"
 curl -fsS -X POST -d '{"words":[1048723,1048691],"omit_signal":true}' "$BASE/v1/simulate" >/dev/null || true
-curl -fsS "$BASE/varz" | grep -q '"cycles_simulated"' || { echo "varz missing metrics" >&2; exit 1; }
+curl -fsS "$BASE/metrics" | grep -E '^emsim_simulated_cycles_total [1-9]' >/dev/null || { echo "metrics missing simulated cycles" >&2; exit 1; }
 
 echo "== train job lifecycle (submit, poll to done)"
 TRAIN='{"seed":7,"runs":2,"instances_per_cluster":6,"mixed_programs":1,"mixed_length":120}'
@@ -78,7 +78,7 @@ for i in $(seq 1 60); do
   case "$STATE" in queued|running) sleep 0.5 ;; *) break ;; esac
 done
 [ "$STATE" = "cancelled" ] || { echo "cancelled job reports state '$STATE'" >&2; exit 1; }
-curl -fsS "$BASE/varz" | grep -q '"trains_cancelled": 1' || { echo "varz missing train metrics" >&2; exit 1; }
+curl -fsS "$BASE/metrics" | grep -x 'emsim_train_jobs_total{state="cancelled"} 1' >/dev/null || { echo "metrics missing train metrics" >&2; exit 1; }
 
 echo "== validation statuses"
 CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"asm": "nop"' "$BASE/v1/simulate")
