@@ -14,6 +14,7 @@ package emsim
 // (delete testdata/golden/model.json first to also retrain the model).
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -38,7 +39,8 @@ const (
 
 // goldenTrainOptions is the deterministic campaign that produced
 // testdata/golden/model.json (the starved-but-usable configuration of
-// the budget study). Only -update with the model file deleted uses it.
+// the budget study). TestGoldenModelRetrains checks that it still does;
+// -update with the model file deleted retrains from it.
 func goldenTrainOptions() TrainOptions {
 	return TrainOptions{
 		Runs:                3,
@@ -193,6 +195,39 @@ func TestGoldenSignals(t *testing.T) {
 					rms, goldenRMSTol)
 			}
 		})
+	}
+}
+
+// TestGoldenModelRetrains pins training itself: the golden campaign
+// must still reproduce the checked-in model byte for byte. A change to
+// capture, extraction or fitting that claims to need no reseed is
+// checked here rather than asserted.
+func TestGoldenModelRetrains(t *testing.T) {
+	if *updateGolden {
+		t.Skip("corpus being regenerated")
+	}
+	want, err := os.ReadFile(goldenModelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Train(NewDevice(DefaultDeviceOptions()), goldenTrainOptions())
+	if err != nil {
+		t.Fatalf("training golden model: %v", err)
+	}
+	var got bytes.Buffer
+	if err := m.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("retrained model differs from %s at line %d: got %q, want %q",
+					goldenModelPath, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("retrained model differs from %s in length: %d vs %d lines",
+			goldenModelPath, len(gotLines), len(wantLines))
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"strings"
@@ -510,6 +511,23 @@ func TestLoadModelRejectsBadInput(t *testing.T) {
 	if _, err := LoadModelFile("/nonexistent/model.json"); err == nil {
 		t.Error("missing file accepted")
 	}
+
+	golden, words := readGolden(t)
+	for _, tc := range unboundedModels {
+		if _, err := LoadModel(bytes.NewReader(mutatedModel(t, golden, tc.edit))); err == nil {
+			t.Errorf("%s: hostile model accepted", tc.name)
+		}
+	}
+	// Large but representable parameters stay loadable and simulate to
+	// finite output.
+	m, err := LoadModel(bytes.NewReader(mutatedModel(t, golden, func(m *Model) {
+		m.Amp[0][cpu.EX] = 1e100
+		m.Kernel.SupportCycles = maxSupportCycles
+	})))
+	if err != nil {
+		t.Fatalf("large finite model rejected: %v", err)
+	}
+	simulateFinite(t, m, words)
 }
 
 func TestAttributionHardwareAndSoftware(t *testing.T) {

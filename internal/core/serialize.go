@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"emsim/internal/cpu"
@@ -54,10 +55,16 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: model file has no model")
 	}
-	if m.SamplesPerCycle < 1 {
-		return nil, fmt.Errorf("core: loaded model has invalid SamplesPerCycle %d", m.SamplesPerCycle)
+	if m.SamplesPerCycle < 1 || m.SamplesPerCycle > maxSamplesPerCycle {
+		return nil, fmt.Errorf("core: loaded model has invalid SamplesPerCycle %d (want 1..%d)",
+			m.SamplesPerCycle, maxSamplesPerCycle)
 	}
-	if _, err := m.Kernel.Taps(m.SamplesPerCycle); err != nil {
+	if m.Kernel.SupportCycles > maxSupportCycles {
+		return nil, fmt.Errorf("core: loaded model kernel spans %d cycles (max %d)",
+			m.Kernel.SupportCycles, maxSupportCycles)
+	}
+	taps, err := m.Kernel.Taps(m.SamplesPerCycle)
+	if err != nil {
 		return nil, fmt.Errorf("core: loaded model has an unusable kernel: %w", err)
 	}
 	for s := cpu.Stage(0); s < cpu.NumStages; s++ {
@@ -72,7 +79,56 @@ func LoadModel(r io.Reader) (*Model, error) {
 			}
 		}
 	}
+	// The factor 2 is headroom for the rounding of the real computation,
+	// which the exact-arithmetic bound does not cover.
+	if b := m.sampleBound(taps); math.IsNaN(b) || math.IsInf(2*b, 0) {
+		return nil, fmt.Errorf("core: loaded model parameters can render non-finite samples (bound %g)", b)
+	}
 	return m, nil
+}
+
+// Caps on a loaded model's sampling geometry. In-tree models use 4–32
+// samples per cycle and a 3-cycle kernel; the caps keep a hostile file
+// from sizing the tap table, and every signal rendered with it, at will.
+const (
+	maxSamplesPerCycle = 256
+	maxSupportCycles   = 16
+)
+
+// sampleBound bounds the magnitude of every value the model can compute
+// for any trace, under any ablation switch: the per-cycle amplitude of
+// Equ. 9 with its intermediate sums, and the overlap-add of those
+// amplitudes through taps. It is NaN or +Inf exactly when some
+// parameter is, or when the parameters can overflow.
+func (m *Model) sampleBound(taps []float64) float64 {
+	ampMax := 0.0
+	for _, row := range m.Amp {
+		for _, a := range row {
+			ampMax = math.Max(ampMax, math.Abs(a))
+		}
+	}
+	perStage, single := 0.0, 0.0
+	for s := cpu.Stage(0); s < cpu.NumStages; s++ {
+		coef := 0.0
+		for _, c := range m.Activity[s].Coef {
+			coef += math.Abs(c)
+		}
+		beta := 1.0
+		if m.Beta != nil {
+			beta = math.Max(beta, math.Abs(m.Beta[s]))
+		}
+		// NumStages·ampMax covers the stage-averaged sum before its
+		// division; the factor 2 covers the Equ. 7 flip scaling.
+		u := 2 * (cpu.NumStages*ampMax + coef) * beta
+		perStage += math.Abs(m.MISO[s]) * u
+		single += u
+	}
+	x := math.Max(math.Abs(m.MISOIntercept)+perStage, math.Abs(m.SingleIntercept)+math.Abs(m.SingleM)*single)
+	tapSum := 1.0 // at least 1, so the result also bounds x itself
+	for _, t := range taps {
+		tapSum += math.Abs(t)
+	}
+	return x * tapSum
 }
 
 // LoadModelFile reads a model from path.

@@ -163,10 +163,11 @@ func trainStream(seed int64, p Phase, index int64) *rand.Rand {
 
 // Run executes the campaign: measure and fit each phase in DAG order,
 // reporting progress to the options' callback. It returns early with
-// ctx's error if the context is cancelled mid-campaign (cancellation
-// latency is bounded by one device capture per worker, and every worker
-// goroutine has exited by the time Run returns). The result for a given
-// device and options is byte-identical at every worker count.
+// ctx's error if the context is cancelled mid-campaign (a worker notices
+// within one program simulation plus one noise pass of its averaged
+// capture, and every worker goroutine has exited by the time Run
+// returns). The result for a given device and options is byte-identical
+// at every worker count.
 func (t *Trainer) Run(ctx context.Context) (*Model, error) {
 	m := &Model{
 		SamplesPerCycle: t.dev.SamplesPerCycle(),

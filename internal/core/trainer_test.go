@@ -136,7 +136,7 @@ func TestTrainerCancellation(t *testing.T) {
 		t.Fatalf("Run after cancel = (%v, %v), want (nil, context.Canceled)", m, err)
 	}
 	// Generous bound; the point is "promptly", not "instantly" — latency
-	// is one capture per in-flight worker.
+	// is one simulation plus one noise pass per in-flight worker.
 	if d := time.Since(start); d > 30*time.Second {
 		t.Errorf("cancelled Run took %v", d)
 	}

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -192,31 +193,22 @@ func (d *Device) Capture(words []uint32) (cpu.Trace, []float64, error) {
 // MeasureAveraged emulates the paper's measurement procedure (§II-B): the
 // sequence is executed `runs` times (1000 in the paper) and the captures
 // are averaged with the modulo operation, yielding a low-noise reference
-// signal. The device's trace of the final run is returned for alignment.
+// signal. Every run of a program is identical apart from its noise, so
+// the program is simulated once; that run's trace is returned for
+// alignment. This is the order-dependent variant: the noise comes from
+// the device's shared RNG, so the result depends on every capture made
+// before it (a Measurer's does not).
 func (d *Device) MeasureAveraged(words []uint32, runs int) (cpu.Trace, []float64, error) {
 	if runs < 1 {
 		return nil, nil, fmt.Errorf("device: need >= 1 run (got %d)", runs)
 	}
-	var tr cpu.Trace
-	var acc []float64
-	for r := 0; r < runs; r++ {
-		t, y, err := d.Capture(words)
-		if err != nil {
-			return nil, nil, err
-		}
-		if acc == nil {
-			acc = make([]float64, len(y))
-			tr = t
-		} else if len(y) != len(acc) {
-			return nil, nil, fmt.Errorf("device: nondeterministic run length (%d vs %d samples)", len(y), len(acc))
-		}
-		for i, v := range y {
-			acc[i] += v
-		}
+	tr, err := d.core.RunProgram(words)
+	if err != nil {
+		return nil, nil, fmt.Errorf("device: %w", err)
 	}
-	inv := 1 / float64(runs)
-	for i := range acc {
-		acc[i] *= inv
+	acc, err := d.averageNoisy(context.Background(), d.emit(tr), runs, d.rng)
+	if err != nil {
+		return nil, nil, err
 	}
 	return tr, acc, nil
 }

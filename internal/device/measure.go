@@ -73,42 +73,50 @@ func (d *Device) NewMeasurer() (*Measurer, error) {
 func (m *Measurer) Device() *Device { return m.d }
 
 // MeasureAveraged is the replica form of Device.MeasureAveraged: the
-// program is executed `runs` times and the noisy captures are averaged
-// with the modulo operation. Unlike the Device method, the noise comes
-// from a stream seeded by (device noise seed, program words), so the
-// result is a pure function of (device configuration, program, runs) —
-// independent of measurement order and of every other program measured.
-// The context is checked between runs, bounding cancellation latency to
-// one capture.
+// program is simulated and emitted once, then `runs` noisy captures of
+// that emission are averaged with the modulo operation. Unlike the
+// Device method, the noise comes from a stream seeded by (device noise
+// seed, program words), so the result is a pure function of (device
+// configuration, program, runs) — independent of measurement order and
+// of every other program measured. The context is checked before every
+// noise pass, bounding cancellation latency to one simulation plus one
+// pass.
 func (m *Measurer) MeasureAveraged(ctx context.Context, words []uint32, runs int) (cpu.Trace, []float64, error) {
 	if runs < 1 {
 		return nil, nil, fmt.Errorf("device: need >= 1 run (got %d)", runs)
 	}
+	tr, err := m.core.RunProgram(words)
+	if err != nil {
+		return nil, nil, fmt.Errorf("device: %w", err)
+	}
 	rng := rand.New(rand.NewSource(programNoiseSeed(m.d.opts.NoiseSeed, words)))
-	var tr cpu.Trace
-	var acc []float64
+	acc, err := m.d.averageNoisy(ctx, m.d.emit(tr), runs, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr, acc, nil
+}
+
+// averageNoisy is the averaging loop behind both MeasureAveraged
+// methods. cpu.RunProgram fully resets the core and memory, so every
+// averaging run of a program yields the same trace and the same clean
+// emission y; only the noise differs. The draws keep the order of a
+// per-run capture loop — run by run, sample by sample — so the mean is
+// bit-identical to re-simulating every run. ctx is checked before each
+// run.
+func (d *Device) averageNoisy(ctx context.Context, y []float64, runs int, rng *rand.Rand) ([]float64, error) {
+	acc := make([]float64, len(y))
 	for r := 0; r < runs; r++ {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		t, err := m.core.RunProgram(words)
-		if err != nil {
-			return nil, nil, fmt.Errorf("device: %w", err)
-		}
-		y := m.d.emit(t)
-		if acc == nil {
-			acc = make([]float64, len(y))
-			tr = t
-		} else if len(y) != len(acc) {
-			return nil, nil, fmt.Errorf("device: nondeterministic run length (%d vs %d samples)", len(y), len(acc))
+			return nil, err
 		}
 		for i, v := range y {
-			acc[i] += v + m.d.opts.NoiseStd*rng.NormFloat64()
+			acc[i] += v + d.opts.NoiseStd*rng.NormFloat64()
 		}
 	}
 	inv := 1 / float64(runs)
 	for i := range acc {
 		acc[i] *= inv
 	}
-	return tr, acc, nil
+	return acc, nil
 }

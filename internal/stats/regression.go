@@ -160,9 +160,10 @@ type StepwiseOptions struct {
 // enters the model, each remaining candidate is orthogonalized against
 // it once, so a full selection pass costs O(n·p·k) rather than the
 // O(n·p·k²) of re-orthogonalizing every candidate from scratch at every
-// step. The scores are exactly the OLS residual-sum-of-squares
-// reductions, and ties break toward the lowest column index, so the
-// selection is deterministic.
+// step; the same pass refreshes each candidate's dot product with the
+// residual, so the scan needs no pass of its own. The scores are exactly
+// the OLS residual-sum-of-squares reductions, and ties break toward the
+// lowest column index, so the selection is deterministic.
 func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*StepwiseResult, error) {
 	n := len(x)
 	if n == 0 || n != len(y) {
@@ -200,6 +201,7 @@ func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*Step
 	colNorm2 := make([]float64, p) // original norms, the collinearity yardstick
 	vc := make([][]float64, p)
 	vcNorm2 := make([]float64, p)
+	gr := make([]float64, p) // gr[c] = vc[c]·r, the scan's numerator
 	for c := 0; c < p; c++ {
 		v := make([]float64, n)
 		for i, row := range x {
@@ -218,6 +220,7 @@ func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*Step
 		}
 		vc[c] = v
 		vcNorm2[c] = linalg.Dot(v, v)
+		gr[c] = linalg.Dot(v, r)
 	}
 
 	selected := []int{}
@@ -238,8 +241,7 @@ func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*Step
 			if vcNorm2[c] <= 1e-12*colNorm2[c] {
 				continue // (near-)collinear with the current model
 			}
-			g := linalg.Dot(vc[c], r)
-			delta := g * g / vcNorm2[c]
+			delta := gr[c] * gr[c] / vcNorm2[c]
 			if delta > bestDelta {
 				bestCol, bestDelta = c, delta
 			}
@@ -260,7 +262,9 @@ func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*Step
 		inModel[bestCol] = true
 		// The winner, normalized, is the next basis direction; fold it out
 		// of the residual and every remaining candidate (modified
-		// Gram-Schmidt step), then refresh the candidate norms.
+		// Gram-Schmidt step), refreshing each candidate's norm and its dot
+		// product with the new residual in the same pass. Both sums run in
+		// index order, exactly as linalg.Dot would over the updated column.
 		q := vc[bestCol]
 		inv := 1 / math.Sqrt(vcNorm2[bestCol])
 		for i := range q {
@@ -280,10 +284,13 @@ func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*Step
 			}
 			v := vc[c]
 			gc := linalg.Dot(q, v)
+			nrm, g := 0.0, 0.0
 			for i := range v {
 				v[i] -= gc * q[i]
+				nrm += v[i] * v[i]
+				g += v[i] * r[i]
 			}
-			vcNorm2[c] = linalg.Dot(v, v)
+			vcNorm2[c], gr[c] = nrm, g
 		}
 	}
 
