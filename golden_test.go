@@ -15,6 +15,8 @@ package emsim
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -29,8 +31,9 @@ import (
 var updateGolden = flag.Bool("update", false, "regenerate the golden-signal corpus (and train its model if missing)")
 
 const (
-	goldenDir       = "testdata/golden"
-	goldenModelPath = goldenDir + "/model.json"
+	goldenDir        = "testdata/golden"
+	goldenModelPath  = goldenDir + "/model.json"
+	goldenReportPath = goldenDir + "/defend_shuffle.json"
 	// goldenRMSTol is the relative RMS error the comparator accepts.
 	// Simulation is deterministic; the headroom covers only the decimal
 	// round trip through the .sig files and cross-platform FP fusion.
@@ -228,6 +231,54 @@ func TestGoldenModelRetrains(t *testing.T) {
 		}
 		t.Fatalf("retrained model differs from %s in length: %d vs %d lines",
 			goldenModelPath, len(gotLines), len(wantLines))
+	}
+}
+
+// TestGoldenSecurityReport pins the defend pipeline end to end: a small
+// shuffle campaign on the golden model must reproduce the checked-in
+// SecurityReport JSON byte for byte, at one worker and at two. A CPA
+// step of 30 puts the key-rank snapshots at 30, 60 and 90 traces
+// mid-way through a trace block of the streaming accumulator. -update
+// rewrites the file.
+func TestGoldenSecurityReport(t *testing.T) {
+	m := goldenModel(t)
+	spec, err := ParseDefenseSpec("shuffle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(goldenReportPath)
+	if err != nil && !*updateGolden {
+		t.Fatalf("reading expectation: %v (run -update to regenerate)", err)
+	}
+	for _, workers := range []int{1, 2} {
+		rep, err := EvaluateDefense(context.Background(), DefendOptions{
+			Model:      m,
+			Defense:    spec,
+			Seed:       1,
+			Workers:    workers,
+			TVLATraces: 16,
+			CPATraces:  120,
+			CPAStep:    30,
+		})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		got, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, '\n')
+		if *updateGolden && workers == 1 {
+			if err := os.WriteFile(goldenReportPath, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("wrote %s", goldenReportPath)
+			want = got
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d workers: report differs from %s (run -update if this change is intentional):\n%s",
+				workers, goldenReportPath, got)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"emsim/internal/cpu"
 	"emsim/internal/isa"
@@ -134,13 +135,18 @@ func (m *StageActivityModel) PrunedFraction() float64 {
 }
 
 // contribution evaluates the stage's fitted (stepwise-LR) data-activity
-// term for one cycle.
+// term for one cycle: the sum, in Selected order, of the coefficients
+// whose transition bit flipped. Transition bits are data, so a branch
+// per bit mispredicts about half the time; instead every coefficient is
+// added, masked to +0 when its bit did not flip. That is bit-identical
+// to skipping it: s starts at +0 and a round-to-nearest sum is -0 only
+// when both operands are, so s is never -0 and s + (+0) == s.
 func (m *StageActivityModel) contribution(st *cpu.StageTrace) float64 {
 	s := 0.0
+	coef := m.Coef[:len(m.Selected)]
 	for i, bit := range m.Selected {
-		if st.FlipBit(bit) {
-			s += m.Coef[i]
-		}
+		on := uint64(st.Flip[uint(bit)/32]>>(uint(bit)%32)) & 1
+		s += math.Float64frombits(math.Float64bits(coef[i]) & -on)
 	}
 	return s
 }

@@ -2,14 +2,11 @@ package cpu
 
 import "testing"
 
-var (
-	allocSinkInt  int
-	allocSinkBool bool
-)
+var allocSinkInt int
 
 // TestTraceAccessorsDoNotAllocate pins the //emsim:noalloc contract of
 // the per-cycle trace accessors (LatchWords, FeatureBits, FlipCount,
-// FlipBit, Cluster) by reading every stage of every streamed cycle of a
+// Cluster) by reading every stage of every streamed cycle of a
 // warm run — the exact access pattern the amplitude model performs.
 func TestTraceAccessorsDoNotAllocate(t *testing.T) {
 	words := streamProgram(t)
@@ -18,7 +15,6 @@ func TestTraceAccessorsDoNotAllocate(t *testing.T) {
 		for s := Stage(0); s < NumStages; s++ {
 			st := &cy.Stages[s]
 			allocSinkInt += LatchWords(s) + FeatureBits(s) + st.FlipCount() + int(st.Cluster())
-			allocSinkBool = st.FlipBit(0)
 		}
 		return nil
 	})

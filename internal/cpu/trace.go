@@ -112,14 +112,6 @@ func (st *StageTrace) FlipCount() int {
 	return n
 }
 
-// FlipBit reports whether transition bit i (0-based across the stage's
-// latch words) toggled this cycle.
-//
-//emsim:noalloc
-func (st *StageTrace) FlipBit(i int) bool {
-	return st.Flip[i/32]>>(uint(i)%32)&1 == 1
-}
-
 // Cluster returns the Table I cluster the occupying instruction belongs to
 // this cycle, resolving loads by the observed cache outcome. Bubbles
 // report the ALU cluster (they behave like injected NOPs).

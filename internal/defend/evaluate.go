@@ -430,12 +430,15 @@ type traceOut struct {
 }
 
 // traceWorker is one simulation replica: a private defended Session,
-// the lane its trace spans render on, and the signal buffer it reuses
-// from trace to trace.
+// the lane its trace spans render on, and the signal buffer and noise
+// generator it reuses from trace to trace (the generator is reseeded
+// with each trace's noise stream, so the draws do not depend on which
+// worker simulates the trace).
 type traceWorker struct {
-	sess *Session
-	lane int
-	buf  []float64
+	sess  *Session
+	lane  int
+	buf   []float64
+	noise *rand.Rand
 }
 
 // streamTraces simulates progs[i] for every i across opts.Workers
@@ -461,7 +464,7 @@ func streamTraces(ctx context.Context, opts Options, spec Spec, seed int64, prog
 		if err != nil {
 			return nil, err
 		}
-		return &traceWorker{sess: sess, lane: obs.NextLane()}, nil
+		return &traceWorker{sess: sess, lane: obs.NextLane(), noise: rand.New(rand.NewSource(0))}, nil
 	}
 	work := func(ctx context.Context, w *traceWorker, i int) (traceOut, error) {
 		obs.Begin(spanTrace, w.lane)
@@ -470,9 +473,9 @@ func streamTraces(ctx context.Context, opts Options, spec Spec, seed int64, prog
 			obs.End(spanTrace, w.lane)
 			return traceOut{}, err
 		}
-		noise := rand.New(rand.NewSource(int64(stream(seed, laneNoise, int64(i)))))
+		w.noise.Seed(int64(stream(seed, laneNoise, int64(i))))
 		for k := range sig {
-			sig[k] += opts.NoiseStd * noise.NormFloat64()
+			sig[k] += opts.NoiseStd * w.noise.NormFloat64()
 		}
 		amp, err := core.ExtractAmplitudes(sig, opts.Model.SamplesPerCycle, opts.Model.Kernel)
 		w.buf = sig[:0]

@@ -176,11 +176,35 @@ func MustEncode(i Inst) uint32 {
 	return w
 }
 
-// rTypeOps lists the OP-major-opcode mnemonics TryDecode matches by
-// funct3/funct7 (hoisted to package level: a slice literal in the
-// decoder would be rebuilt on every fetched word).
-var rTypeOps = [...]Op{ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND,
-	MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU}
+// opTable maps an OP-major-opcode word to its mnemonic by funct7 class
+// (see funct7Class) and funct3; OpInvalid marks the unassigned slots.
+// It is built once from encTable, which stays the one source of the
+// encodings, so the fetch path decodes an OP word with one array index.
+var opTable = func() (t [3][8]Op) {
+	for op, e := range encTable {
+		if e.opcode == opcOp {
+			t[funct7Class(e.funct7)][e.funct3] = op
+		}
+	}
+	return t
+}()
+
+// funct7Class returns opTable's row for an OP word's funct7: 0 for the
+// base integer ops, 1 for the M extension, 2 for SUB/SRA, and -1 for
+// every other funct7, which no RV32IM instruction uses.
+//
+//emsim:noalloc
+func funct7Class(funct7 uint32) int {
+	switch funct7 {
+	case 0b0000000:
+		return 0
+	case 0b0000001:
+		return 1
+	case 0b0100000:
+		return 2
+	}
+	return -1
+}
 
 //emsim:noalloc
 func signExtend(v uint32, bits uint) int32 {
@@ -339,13 +363,11 @@ func TryDecode(word uint32) (Inst, bool) {
 			return Inst{}, false
 		}
 	case opcOp:
-		for _, op := range rTypeOps {
-			e := encTable[op]
-			if e.funct3 == funct3 && e.funct7 == funct7 {
-				return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, true
-			}
+		cls := funct7Class(funct7)
+		if cls < 0 || opTable[cls][funct3] == OpInvalid {
+			return Inst{}, false
 		}
-		return Inst{}, false
+		return Inst{Op: opTable[cls][funct3], Rd: rd, Rs1: rs1, Rs2: rs2}, true
 	case opcMisc:
 		// Only the canonical FENCE word is accepted: the simulator treats
 		// every fence as a full fence, never emits ordering-hint bits, and

@@ -400,10 +400,33 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkDecode decodes a word mix holding every R-type mnemonic and
+// one word of each other opcode class, so no decode path is favoured by
+// its position in a search.
 func BenchmarkDecode(b *testing.B) {
-	w := MustEncode(Add(X1, X2, X3))
+	mix := []Inst{
+		{Op: ADDI, Rd: X1, Rs1: X2, Imm: -7},
+		{Op: SRAI, Rd: X1, Rs1: X2, Imm: 3},
+		{Op: LW, Rd: X1, Rs1: X2, Imm: 8},
+		{Op: SW, Rs1: X2, Rs2: X3, Imm: -4},
+		{Op: BNE, Rs1: X2, Rs2: X3, Imm: 16},
+		{Op: LUI, Rd: X1, Imm: 0x12345},
+		{Op: AUIPC, Rd: X1, Imm: 1},
+		{Op: JAL, Rd: X1, Imm: 64},
+		{Op: JALR, Rd: X1, Rs1: X2},
+		{Op: FENCE},
+		{Op: ECALL},
+	}
+	for _, op := range referenceRTypeOps {
+		mix = append(mix, Inst{Op: op, Rd: X1, Rs1: X2, Rs2: X3})
+	}
+	words := make([]uint32, len(mix))
+	for i, in := range mix {
+		words[i] = MustEncode(in)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(w); err != nil {
+		if _, err := Decode(words[i%len(words)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -147,9 +147,18 @@ type CorrAccumulator struct {
 	variedX            []bool
 	meanH, m2h, firstH []float64 // per guess
 	variedH            []bool
-	c                  []float64 // co-moments, c[g*stride+col]
-	dx                 []float64 // scratch: per-column pre-update deviations
+	c                  []float64 // co-moments, c[g*stride+col], less the pending block
+
+	// The pending block: trace k's pre-update column deviations are
+	// blockX[k*stride+col] and its post-update guess deviations
+	// blockH[g*corrBlock+k], for the first pending traces k.
+	blockX, blockH []float64
+	pending        int
 }
+
+// corrBlock is the number of traces whose co-moment products
+// CorrAccumulator stages before applying them; flush unrolls it.
+const corrBlock = 8
 
 // NewCorrAccumulator returns an empty accumulator for the given number
 // of candidate guesses; the first Add sizes the per-column state.
@@ -183,7 +192,9 @@ func (a *CorrAccumulator) Add(trace, hyp []float64) error {
 	}
 	a.n++
 	n := float64(a.n)
-	for col := 0; col < a.width; col++ {
+	k := a.pending
+	dx := a.blockX[k*a.stride : k*a.stride+a.width]
+	for col := range dx {
 		x := trace[col]
 		// A column is dead only when every value is bit-identical to the
 		// first AND finite: a constant ±Inf column has NaN variance in the
@@ -196,7 +207,7 @@ func (a *CorrAccumulator) Add(trace, hyp []float64) error {
 		d := x - a.meanX[col]
 		a.meanX[col] += d / n
 		a.m2x[col] += d * (x - a.meanX[col])
-		a.dx[col] = d
+		dx[col] = d
 	}
 	for g := 0; g < a.guesses; g++ {
 		h := hyp[g]
@@ -209,13 +220,59 @@ func (a *CorrAccumulator) Add(trace, hyp []float64) error {
 		a.meanH[g] += d1 / n
 		d2 := h - a.meanH[g]
 		a.m2h[g] += d1 * d2
-		row := a.c[g*a.stride : g*a.stride+a.width]
-		for col := range row {
-			// Pairwise co-moment: C += (x - x̄_old)·(h - h̄_new).
-			row[col] += a.dx[col] * d2
-		}
+		a.blockH[g*corrBlock+k] = d2
+	}
+	a.pending++
+	if a.pending == corrBlock {
+		a.flush()
 	}
 	return nil
+}
+
+// flush applies the pending block to the co-moments and empties it.
+// Pairwise co-moment: C += (x - x̄_old)·(h - h̄_new) per trace. Each
+// live co-moment is loaded once, gets the block's products added in
+// trace order, and is stored once: the same additions in the same
+// order as a per-trace update, so the result is bit-identical, while
+// the matrix crosses memory once per block. A partial block is padded
+// with zero deviations; adding +0·+0 leaves a co-moment unchanged,
+// since it starts at +0 and a round-to-nearest sum is -0 only when both
+// operands are. A trace that narrowed the width mid-block leaves its
+// products in the dropped columns unapplied; nothing reads those again.
+//
+//emsim:noalloc
+func (a *CorrAccumulator) flush() {
+	if a.pending == 0 {
+		return
+	}
+	w, s := a.width, a.stride
+	for k := a.pending; k < corrBlock; k++ {
+		clear(a.blockX[k*s : k*s+w])
+		for g := 0; g < a.guesses; g++ {
+			a.blockH[g*corrBlock+k] = 0
+		}
+	}
+	// The [i:][:w] form gives every slice the length w, which lets the
+	// compiler drop the bounds checks from the inner loop.
+	x0, x1, x2, x3 := a.blockX[0*s:][:w], a.blockX[1*s:][:w], a.blockX[2*s:][:w], a.blockX[3*s:][:w]
+	x4, x5, x6, x7 := a.blockX[4*s:][:w], a.blockX[5*s:][:w], a.blockX[6*s:][:w], a.blockX[7*s:][:w]
+	for g := 0; g < a.guesses; g++ {
+		d := (*[corrBlock]float64)(a.blockH[g*corrBlock:])
+		row := a.c[g*s:][:w]
+		for col := range row {
+			v := row[col]
+			v += x0[col] * d[0]
+			v += x1[col] * d[1]
+			v += x2[col] * d[2]
+			v += x3[col] * d[3]
+			v += x4[col] * d[4]
+			v += x5[col] * d[5]
+			v += x6[col] * d[6]
+			v += x7[col] * d[7]
+			row[col] = v
+		}
+	}
+	a.pending = 0
 }
 
 // grow allocates the per-column and co-moment state for the first
@@ -228,11 +285,12 @@ func (a *CorrAccumulator) grow(width int) {
 	a.m2x = make([]float64, width)
 	a.firstX = make([]float64, width)
 	a.variedX = make([]bool, width)
-	a.dx = make([]float64, width)
+	a.blockX = make([]float64, corrBlock*width)
 	a.meanH = make([]float64, a.guesses)
 	a.m2h = make([]float64, a.guesses)
 	a.firstH = make([]float64, a.guesses)
 	a.variedH = make([]bool, a.guesses)
+	a.blockH = make([]float64, a.guesses*corrBlock)
 	a.c = make([]float64, a.guesses*width)
 }
 
@@ -280,7 +338,8 @@ func (a *CorrAccumulator) LiveGuesses() int {
 // the live columns and the column index where it peaks (ties keep the
 // lowest column; dead guesses and dead columns score zero, matching the
 // batch CPA's constant-column rule). peak and at must have length
-// Guesses(). Needs at least three traces.
+// Guesses(). Needs at least three traces. It first applies any partial
+// trace block.
 func (a *CorrAccumulator) PeaksInto(peak []float64, at []int) error {
 	if a.n < 3 {
 		return fmt.Errorf("stats: CorrAccumulator needs >= 3 traces (have %d)", a.n)
@@ -288,6 +347,7 @@ func (a *CorrAccumulator) PeaksInto(peak []float64, at []int) error {
 	if len(peak) != a.guesses || len(at) != a.guesses {
 		return fmt.Errorf("stats: PeaksInto dst length %d/%d, want %d", len(peak), len(at), a.guesses)
 	}
+	a.flush()
 	width := a.Samples()
 	for g := 0; g < a.guesses; g++ {
 		peak[g], at[g] = 0, 0
