@@ -316,7 +316,10 @@ func BenchmarkPredictorStudy(b *testing.B) {
 // BenchmarkSimulationThroughput measures raw simulation speed: cycles of
 // EM signal generated per second for a trained model, the "performance
 // advantage of a cycle-accurate simulation relative to a physics-based
-// model" the paper motivates.
+// model" the paper motivates. Each iteration is one Model.SimulateProgram
+// call, which builds a fresh Session and records the trace through its
+// tee, so it pays per call for the core, the tap table, the trace and
+// the signal.
 func BenchmarkSimulationThroughput(b *testing.B) {
 	env := benchEnvironment(b)
 	words, err := CombinationGroup(0, rand.New(rand.NewSource(1)), false)
@@ -342,7 +345,8 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 // BenchmarkSessionReuse measures the streaming hot path: one Session
 // simulating the same program back to back, buffers recycled through
 // SimulateProgramInto. Compare cycles/s (and allocs/op) against
-// BenchmarkSimulationThroughput, the legacy per-call pipeline.
+// BenchmarkSimulationThroughput, which builds a Session and records a
+// trace per call.
 func BenchmarkSessionReuse(b *testing.B) {
 	env := benchEnvironment(b)
 	words, err := CombinationGroup(0, rand.New(rand.NewSource(1)), false)
@@ -475,7 +479,8 @@ func BenchmarkTrainingBudgetStudy(b *testing.B) {
 	}
 }
 
-// Attack-sweep benchmark geometry; matches the experiments study.
+// Attack-sweep benchmark geometry: 64 sample points and 64 key
+// candidates, one sweep point every 64 traces.
 const (
 	benchSweepWidth   = 64
 	benchSweepGuesses = 64

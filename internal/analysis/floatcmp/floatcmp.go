@@ -4,9 +4,9 @@
 // error by construction, so an exact comparison is a latent bug — the
 // WelchT degenerate-variance case fixed in this module is the canonical
 // example. Comparisons against literal zero used as cheap "is it exactly
-// the sentinel" guards must either move to the stats.ApproxEqual /
-// stats.ApproxZero helpers or carry an //emsim:ignore floatcmp with a
-// reason explaining why exactness is intended.
+// the sentinel" guards must either move to the stats.ApproxEqual helper
+// or carry an //emsim:ignore floatcmp with a reason explaining why
+// exactness is intended.
 package floatcmp
 
 import (
@@ -57,7 +57,7 @@ func run(pass *analysis.Pass) error {
 			if !isFloat(pass.TypesInfo.Types[be.X].Type) && !isFloat(pass.TypesInfo.Types[be.Y].Type) {
 				return true
 			}
-			pass.Reportf(be.OpPos, "direct %s on floating-point values; use a tolerance helper (stats.ApproxEqual/ApproxZero) or suppress with a reason", be.Op)
+			pass.Reportf(be.OpPos, "direct %s on floating-point values; use a tolerance helper (stats.ApproxEqual) or suppress with a reason", be.Op)
 			return true
 		})
 	}

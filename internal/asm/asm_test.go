@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -292,6 +293,7 @@ func TestAssembleErrors(t *testing.T) {
 		"org needs value":   ".org",
 		"word needs value":  ".word",
 		"space needs count": ".space",
+		"space past cap":    fmt.Sprintf(".space %d", maxImageBytes+1),
 		"empty label":       "  : nop",
 		"branch label":      "beq t0, t1, 5oops",
 		"duplicate label":   "a:\na:\nnop",

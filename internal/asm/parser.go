@@ -18,6 +18,7 @@ import (
 //   - memory operands as "offset(reg)"
 //   - branch/jump targets as labels or numeric offsets
 //   - directives: .org ADDR (before code), .word v[, v...], .space BYTES
+//     (a reservation may not grow the image past 1 MiB)
 //   - pseudo-instructions: nop, li, la, mv, not, neg, seqz, snez, j, jr,
 //     ret, call, beqz, bnez, bltz, bgez, bgtz, blez, bgt, ble, bgtu, bleu
 func Assemble(src string) (*Program, error) {
@@ -96,6 +97,12 @@ func parseStatement(b *Builder, line string, lineNo int) error {
 	return parseInstruction(b, mnemonic, args, lineNo, errf)
 }
 
+// maxImageBytes caps the image a .space or .zero reservation may grow.
+// Each reserved word is stored as its own pending item until Assemble,
+// so without the cap a short source line could allocate without bound.
+// 1 MiB is far above any program the simulator runs.
+const maxImageBytes = 1 << 20
+
 func parseDirective(b *Builder, dir string, args []string, errf func(string, ...any) error) error {
 	switch dir {
 	case ".org":
@@ -129,6 +136,9 @@ func parseDirective(b *Builder, dir string, args []string, errf func(string, ...
 		n, err := parseImm(args[0])
 		if err != nil || n < 0 {
 			return errf("%s: bad count %q", dir, args[0])
+		}
+		if n > maxImageBytes-4*int64(b.Len()) {
+			return errf("%s: %d bytes would grow the image past %d bytes", dir, n, maxImageBytes)
 		}
 		for i := int64(0); i < (n+3)/4; i++ {
 			b.Word(0)

@@ -52,33 +52,13 @@ func (m *Model) probeFit(dev *device.Device, words []uint32, runs int) (*stats.R
 	return fit, nil
 }
 
-// RefitBeta estimates the per-stage loss coefficients β for a probe
-// position other than the one the model was trained at (§V-D): the
-// Equ. 9 regression is re-solved with A replaced by A·β against a short
-// calibration measurement, and the refitted coefficients are divided by
-// the trained ones. Everything else (A, activity weights, kernel) is
-// reused — exactly the paper's point that only β needs adjusting when the
-// probe moves.
-func (m *Model) RefitBeta(dev *device.Device, words []uint32, runs int) ([cpu.NumStages]float64, error) {
-	var beta [cpu.NumStages]float64
-	fit, err := m.probeFit(dev, words, runs)
-	if err != nil {
-		return beta, err
-	}
-	for s := 0; s < cpu.NumStages; s++ {
-		if math.Abs(m.MISO[s]) < 1e-9 {
-			beta[s] = 1
-			continue
-		}
-		beta[s] = fit.Coef[s] / m.MISO[s]
-	}
-	return beta, nil
-}
-
-// AdaptToProbe returns a model copy calibrated for a new probe position:
-// the per-stage β scaling plus the refitted background level (the ambient
-// offset also attenuates with distance). One short calibration program
-// suffices; A, the activity weights and the kernel transfer unchanged.
+// AdaptToProbe returns a model copy calibrated for a new probe position
+// (§V-D): the Equ. 9 regression is re-solved against a short calibration
+// measurement, and each refitted per-stage coefficient divided by the
+// trained one is that stage's loss coefficient β. The copy takes the β
+// scaling plus the refitted background level (the ambient offset also
+// attenuates with distance). One short calibration program suffices; A,
+// the activity weights and the kernel transfer unchanged.
 func (m *Model) AdaptToProbe(dev *device.Device, words []uint32, runs int) (*Model, [cpu.NumStages]float64, error) {
 	var beta [cpu.NumStages]float64
 	fit, err := m.probeFit(dev, words, runs)

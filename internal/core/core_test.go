@@ -432,29 +432,6 @@ func TestActivityAverageScalesBaseline(t *testing.T) {
 	}
 }
 
-func BenchmarkModelSimulate(b *testing.B) {
-	dev := device.MustNew(device.DefaultOptions())
-	m, err := Train(dev, TrainOptions{Runs: 5, InstancesPerCluster: 10, MixedLength: 200})
-	if err != nil {
-		b.Fatal(err)
-	}
-	words, err := MixedProgram(rand.New(rand.NewSource(1)), 300)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := cpu.MustNew(dev.Options().CPU)
-	tr, err := c.RunProgram(words)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Simulate(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	m, dev := testModel(t)
 	path := t.TempDir() + "/model.json"

@@ -12,16 +12,16 @@
 //     amplitudes A (§III-B), the data-dependent activity weights via
 //     stepwise regression (§III-B), and the per-stage combination
 //     coefficients M (§III-C).
-//  2. Simulate renders the predicted analog signal for any program by
-//     running the model's own cycle-accurate core and applying the
-//     fitted parameters to its trace — no further measurements needed.
+//  2. A Session renders the predicted analog signal for any program by
+//     running the model's own cycle-accurate core and streaming each
+//     cycle through the fitted parameters — no further measurements
+//     needed.
 //
 // Ablation switches in ModelOptions reproduce the paper's accuracy-
 // degradation experiments (Figures 2, 3, 5, 6, 7).
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"emsim/internal/cpu"
@@ -277,48 +277,24 @@ func (m *Model) CycleAmplitude(c *cpu.Cycle) float64 {
 	return m.SingleIntercept + m.SingleM*sum
 }
 
-// Amplitudes predicts the per-cycle amplitude series for a trace.
-func (m *Model) Amplitudes(tr cpu.Trace) []float64 {
-	return m.AmplitudesInto(nil, tr)
-}
-
-// AmplitudesInto is the buffer-reusing form of Amplitudes: the series is
-// written into dst's backing array, grown only when needed.
-func (m *Model) AmplitudesInto(dst []float64, tr cpu.Trace) []float64 {
-	if cap(dst) >= len(tr) {
-		dst = dst[:len(tr)]
-	} else {
-		dst = make([]float64, len(tr))
-	}
-	for i := range tr {
-		dst[i] = m.CycleAmplitude(&tr[i])
-	}
-	return dst
-}
-
-// Simulate renders the predicted analog signal for a trace: amplitudes
-// through the fitted kernel (Equ. 6).
-func (m *Model) Simulate(tr cpu.Trace) ([]float64, error) {
-	return signal.Reconstruct(m.Amplitudes(tr), m.SamplesPerCycle, m.Kernel)
-}
-
 // SimulateProgram runs the program on a fresh core with the given
 // configuration and returns the trace plus the predicted analog signal —
-// the design-stage flow of §VI that needs no physical measurement.
+// the design-stage flow of §VI that needs no physical measurement. It
+// renders through a one-off Session with a trace recorder attached.
 //
 // SimulateProgram allocates a core, a trace and a signal per call. For
 // campaign workloads that simulate many programs under one
 // configuration, a Session amortizes all of that: see NewSession.
 func (m *Model) SimulateProgram(cfg cpu.Config, words []uint32) (cpu.Trace, []float64, error) {
-	c, err := cpu.New(cfg)
+	s, err := NewSession(m, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := c.RunProgram(words)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: simulate: %w", err)
-	}
-	y, err := m.Simulate(tr)
+	var tr cpu.Trace
+	s.SetTee(cpu.AppendTo(&tr))
+	// The session is private to this call, so its buffer is returned
+	// without a copy.
+	y, err := s.SimulateProgramInto(nil, words)
 	if err != nil {
 		return nil, nil, err
 	}

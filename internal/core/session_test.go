@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -37,10 +39,58 @@ func sessionGoldenPrograms(t *testing.T) map[string][]uint32 {
 	}
 }
 
+// naiveRender is the test-side reference for Equ. 6/9, built without
+// Session or Reconstructor: the program runs through cpu.RunProgram, the
+// model predicts each recorded cycle's amplitude, and a fresh buffer
+// superposes one kernel instance per cycle in cycle-major, tap-minor
+// order (exactly-zero amplitudes skipped), tail truncated at the last
+// cycle.
+func naiveRender(t *testing.T, m *Model, cfg cpu.Config, words []uint32) (cpu.Trace, []float64) {
+	t.Helper()
+	tr, err := cpu.MustNew(cfg).RunProgram(words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spc := m.SamplesPerCycle
+	taps, err := m.Kernel.Taps(spc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(tr) * spc
+	out := make([]float64, n)
+	for c := range tr {
+		amp := m.CycleAmplitude(&tr[c])
+		if amp == 0 {
+			continue
+		}
+		for i, tap := range taps {
+			idx := c*spc + i
+			if idx >= n {
+				break
+			}
+			out[idx] += amp * tap
+		}
+	}
+	return tr, out
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: sample %d = %g, want %g (bit-exact)", what, i, got[i], want[i])
+		}
+	}
+}
+
 // TestSessionMatchesSimulateProgram is the tentpole golden test: the
-// streaming Session pipeline must reproduce the legacy materializing
-// SimulateProgram signal bit for bit, across all workload families, with
-// one Session reused for all of them back to back.
+// streaming Session pipeline and the one-shot Model.SimulateProgram must
+// both reproduce the naive reference render bit for bit, across all
+// workload families, with one Session reused for all of them back to
+// back. SimulateProgram must also return cpu.RunProgram's trace.
 func TestSessionMatchesSimulateProgram(t *testing.T) {
 	m, _ := testModel(t)
 	cfg := cpu.DefaultConfig()
@@ -52,18 +102,21 @@ func TestSessionMatchesSimulateProgram(t *testing.T) {
 	// as the first simulation of each.
 	for pass := 0; pass < 2; pass++ {
 		for name, words := range sessionGoldenPrograms(t) {
-			tr, want, err := m.SimulateProgram(cfg, words)
+			wantTr, want := naiveRender(t, m, cfg, words)
+			tr, oneShot, err := m.SimulateProgram(cfg, words)
 			if err != nil {
-				t.Fatalf("%s: legacy path: %v", name, err)
+				t.Fatalf("%s: SimulateProgram: %v", name, err)
 			}
+			if !reflect.DeepEqual(wantTr, tr) {
+				t.Fatalf("pass %d %s: SimulateProgram trace differs from RunProgram (%d vs %d cycles)",
+					pass, name, len(tr), len(wantTr))
+			}
+			requireSameBits(t, fmt.Sprintf("pass %d %s: SimulateProgram", pass, name), oneShot, want)
 			got, err := sess.SimulateProgram(words)
 			if err != nil {
 				t.Fatalf("%s: session path: %v", name, err)
 			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("pass %d %s: session signal differs from SimulateProgram (%d vs %d samples)",
-					pass, name, len(got), len(want))
-			}
+			requireSameBits(t, fmt.Sprintf("pass %d %s: session", pass, name), got, want)
 			if sess.Cycles() != len(tr) {
 				t.Fatalf("pass %d %s: session reports %d cycles, trace has %d", pass, name, sess.Cycles(), len(tr))
 			}

@@ -37,20 +37,6 @@ func (a appendSink) Cycle(c *Cycle) error {
 // materializing adapter Run and RunProgram are built on.
 func AppendTo(tr *Trace) CycleSink { return appendSink{tr} }
 
-// TeeSink fans each cycle out to several sinks in order, stopping at the
-// first error. It lets one run feed, say, a trace recorder and an
-// amplitude evaluator simultaneously.
-func TeeSink(sinks ...CycleSink) CycleSink {
-	return CycleSinkFunc(func(c *Cycle) error {
-		for _, s := range sinks {
-			if err := s.Cycle(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // CtxCheckInterval is how often (in cycles) the streaming run loop polls
 // its context for cancellation. The check is amortized — a power-of-two
 // mask test plus, every interval, one non-blocking channel receive — so

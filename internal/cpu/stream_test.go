@@ -80,17 +80,6 @@ func TestRunToSinkErrorAborts(t *testing.T) {
 	}
 }
 
-func TestTeeSinkFansOut(t *testing.T) {
-	words := streamProgram(t)
-	var tr1, tr2 Trace
-	if err := MustNew(DefaultConfig()).RunProgramTo(words, TeeSink(AppendTo(&tr1), AppendTo(&tr2))); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr1) == 0 || !reflect.DeepEqual(tr1, tr2) {
-		t.Fatalf("tee branches diverged (%d vs %d cycles)", len(tr1), len(tr2))
-	}
-}
-
 // TestRunAfterResetBitIdentical is the Session-enabling regression test:
 // a core that already ran a different program (dirty registers,
 // predictor history, cache contents, memory stores) and is then reused

@@ -142,12 +142,6 @@ type Cycle struct {
 	MispredictFlush bool
 }
 
-// Active reports whether stage s carries a real, unstalled instruction.
-func (c *Cycle) Active(s Stage) bool {
-	st := &c.Stages[s]
-	return !st.Bubble && !st.Stalled
-}
-
 // Trace is the per-cycle record of one complete program execution.
 type Trace []Cycle
 

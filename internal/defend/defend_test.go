@@ -216,8 +216,8 @@ func TestSessionStreamIndexing(t *testing.T) {
 	if _, err := s.SimulateProgram(prog.Words); err != nil {
 		t.Fatal(err)
 	}
-	s.ResetStream(0)
-	replay, err := s.SimulateProgram(prog.Words)
+	// The first SimulateProgram call ran randomization index 0.
+	replay, err := s.SimulateTraceInto(context.Background(), nil, 0, prog.Words)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSessionStreamIndexing(t *testing.T) {
 	}
 	for i := range first {
 		if first[i] != replay[i] {
-			t.Fatalf("ResetStream replay diverges at sample %d", i)
+			t.Fatalf("index-0 replay diverges at sample %d", i)
 		}
 	}
 }

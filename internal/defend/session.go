@@ -71,8 +71,7 @@ func (s *Session) SimulateTraceInto(ctx context.Context, dst []float64, index in
 
 // SimulateProgram implements leakage.Simulator: each call simulates one
 // defended trace under the next consecutive randomization index
-// (starting at zero; see ResetStream) and returns a fresh signal the
-// caller may retain.
+// (starting at zero) and returns a fresh signal the caller may retain.
 func (s *Session) SimulateProgram(words []uint32) ([]float64, error) {
 	index := s.next
 	s.next++
@@ -86,7 +85,3 @@ func (s *Session) SimulateProgram(words []uint32) ([]float64, error) {
 	copy(out, sig)
 	return out, nil
 }
-
-// ResetStream rewinds (or repositions) the randomization index used by
-// SimulateProgram, making leakage campaigns replayable.
-func (s *Session) ResetStream(next int64) { s.next = next }

@@ -141,13 +141,14 @@ func (d *Device) emit(tr cpu.Trace) []float64 {
 	return y
 }
 
-// stretchPerCycle emulates a clock-trimmed board as seen through the
-// paper's modulo-operation acquisition (§II-B): the fold uses the
-// device's *actual* clock period (T_s = noc × T_clk), so cycle boundaries
-// stay locked and only the waveform inside each cycle is time-scaled by
-// the trim. This is why §V-B finds the shifted boards "slightly shifted"
-// per cycle but statistically indistinguishable in accuracy — the drift
-// never accumulates across cycles.
+// stretchPerCycle emulates a clock-trimmed board under cycle-locked
+// acquisition: cycle boundaries stay on their nominal samples and only
+// the waveform inside each cycle is time-scaled by the trim. The paper's
+// modulo operation (§II-B) locks captures this way because it folds them
+// at the device's *actual* clock period (T_s = noc × T_clk). This is why
+// §V-B finds the shifted boards "slightly shifted" per cycle but
+// statistically indistinguishable in accuracy — the drift never
+// accumulates across cycles.
 func stretchPerCycle(y []float64, spc int, factor float64) []float64 {
 	if factor == 1 || len(y) < 2 || spc < 2 {
 		return y
@@ -192,7 +193,7 @@ func (d *Device) Capture(words []uint32) (cpu.Trace, []float64, error) {
 
 // MeasureAveraged emulates the paper's measurement procedure (§II-B): the
 // sequence is executed `runs` times (1000 in the paper) and the captures
-// are averaged with the modulo operation, yielding a low-noise reference
+// are averaged sample by sample, yielding a low-noise reference
 // signal. Every run of a program is identical apart from its noise, so
 // the program is simulated once; that run's trace is returned for
 // alignment. This is the order-dependent variant: the noise comes from
@@ -211,29 +212,6 @@ func (d *Device) MeasureAveraged(words []uint32, runs int) (cpu.Trace, []float64
 		return nil, nil, err
 	}
 	return tr, acc, nil
-}
-
-// CaptureStream emulates a long untriggered oscilloscope capture: the
-// program is executed reps times back to back and the noisy emissions are
-// concatenated into one stream. Feed the result to signal.ModuloAverage
-// with seqPeriod = cycles × SamplesPerCycle to recover the low-noise
-// reference waveform, exactly as §II-B does with its "modulo operation".
-func (d *Device) CaptureStream(words []uint32, reps int) (stream []float64, cyclesPerRep int, err error) {
-	if reps < 1 {
-		return nil, 0, fmt.Errorf("device: need >= 1 repetition (got %d)", reps)
-	}
-	tr, err := d.core.RunProgram(words)
-	if err != nil {
-		return nil, 0, fmt.Errorf("device: %w", err)
-	}
-	clean := d.emit(tr)
-	out := make([]float64, 0, len(clean)*reps)
-	for r := 0; r < reps; r++ {
-		for _, v := range clean {
-			out = append(out, v+d.opts.NoiseStd*d.rng.NormFloat64())
-		}
-	}
-	return out, len(tr), nil
 }
 
 // CPUStats exposes the device core's statistics for experiment reporting.

@@ -320,32 +320,6 @@ func TestBoardChangeChangesSignal(t *testing.T) {
 	}
 }
 
-func TestCaptureStreamFoldsToAverage(t *testing.T) {
-	prog := nopProgram(t, 10)
-	d := MustNew(DefaultOptions())
-	stream, cycles, err := d.CaptureStream(prog, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spc := d.SamplesPerCycle()
-	bins := cycles * spc
-	folded, err := signal.ModuloAverage(stream, 1, float64(bins), bins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare to the noise-free emission.
-	ref := MustNew(DefaultOptions())
-	tr, _ := ref.core.RunProgram(prog)
-	ideal := ref.emit(tr)
-	ncc, err := signal.NCC(folded, ideal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ncc < 0.99 {
-		t.Errorf("folded stream correlation %v, want >= 0.99", ncc)
-	}
-}
-
 func TestDeviceOptionValidation(t *testing.T) {
 	bad := DefaultOptions()
 	bad.SamplesPerCycle = 2
@@ -359,9 +333,6 @@ func TestDeviceOptionValidation(t *testing.T) {
 	}
 	if _, _, err := MustNew(DefaultOptions()).MeasureAveraged(nopProgram(t, 1), 0); err == nil {
 		t.Error("0 runs accepted")
-	}
-	if _, _, err := MustNew(DefaultOptions()).CaptureStream(nopProgram(t, 1), 0); err == nil {
-		t.Error("0 reps accepted")
 	}
 }
 

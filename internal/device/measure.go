@@ -74,13 +74,12 @@ func (m *Measurer) Device() *Device { return m.d }
 
 // MeasureAveraged is the replica form of Device.MeasureAveraged: the
 // program is simulated and emitted once, then `runs` noisy captures of
-// that emission are averaged with the modulo operation. Unlike the
-// Device method, the noise comes from a stream seeded by (device noise
-// seed, program words), so the result is a pure function of (device
-// configuration, program, runs) — independent of measurement order and
-// of every other program measured. The context is checked before every
-// noise pass, bounding cancellation latency to one simulation plus one
-// pass.
+// that emission are averaged sample by sample. Unlike the Device method,
+// the noise comes from a stream seeded by (device noise seed, program
+// words), so the result is a pure function of (device configuration,
+// program, runs) — independent of measurement order and of every other
+// program measured. The context is checked before every noise pass,
+// bounding cancellation latency to one simulation plus one pass.
 func (m *Measurer) MeasureAveraged(ctx context.Context, words []uint32, runs int) (cpu.Trace, []float64, error) {
 	if runs < 1 {
 		return nil, nil, fmt.Errorf("device: need >= 1 run (got %d)", runs)

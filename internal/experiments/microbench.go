@@ -147,16 +147,6 @@ func safeRatio(a, b float64) float64 {
 	return a / b
 }
 
-func worstCycle(per []float64) int {
-	worst, at := 2.0, -1
-	for i, v := range per {
-		if v < worst {
-			worst, at = v, i
-		}
-	}
-	return at
-}
-
 // ampCorrOf correlates the per-cycle amplitude series of the measured and
 // simulated signals of a comparison.
 func (e *Env) ampCorrOf(cmp *core.Comparison) (float64, error) {

@@ -55,15 +55,6 @@ func (m *Matrix) Clone() *Matrix {
 // Row returns a view of row i (shared storage).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
@@ -127,9 +118,6 @@ func Dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
 
 // LeastSquares solves min ‖A·x − b‖₂ via Householder QR with column checks.
 // A must have Rows >= Cols and full column rank (within eps); otherwise an

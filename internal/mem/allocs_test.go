@@ -13,7 +13,6 @@ var (
 // are allocation-free.
 func TestMemoryAnnotatedFuncsDoNotAllocate(t *testing.T) {
 	m := NewMemory()
-	buf := make([]byte, 8)
 	words := make([]uint32, 4)
 	// Warm up: first touch of each page allocates its backing array.
 	m.StoreByte(0x100, 1)
@@ -23,7 +22,6 @@ func TestMemoryAnnotatedFuncsDoNotAllocate(t *testing.T) {
 		m.WriteHalf(0x102, 0xBEEF)
 		m.WriteWord(0x104, 0xDEADBEEF)
 		allocSinkU32 = uint32(m.LoadByte(0x100)) + uint32(m.ReadHalf(0x102)) + m.ReadWord(0x104)
-		m.LoadBytes(0x100, buf)
 		m.LoadWords(0x2000, words)
 		m.Reset()
 	})

@@ -91,15 +91,6 @@ func (m *Memory) WriteHalf(addr uint32, v uint16) {
 	m.StoreByte(addr+1, byte(v>>8))
 }
 
-// LoadBytes copies data into memory starting at addr.
-//
-//emsim:noalloc
-func (m *Memory) LoadBytes(addr uint32, data []byte) {
-	for i, b := range data {
-		m.StoreByte(addr+uint32(i), b)
-	}
-}
-
 // LoadWords copies 32-bit words into memory starting at addr.
 //
 //emsim:noalloc
@@ -265,17 +256,6 @@ func (c *Cache) Probe(addr uint32) bool {
 		}
 	}
 	return false
-}
-
-// Warm pre-loads the line containing addr without counting statistics,
-// used by experiments that need a guaranteed hit.
-func (c *Cache) Warm(addr uint32) {
-	h, _ := c.Access(addr)
-	if h {
-		c.hits--
-	} else {
-		c.misses--
-	}
 }
 
 // Flush invalidates every line.

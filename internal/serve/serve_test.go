@@ -167,6 +167,7 @@ func TestSimulateValidation(t *testing.T) {
 		{"no program", `{}`, http.StatusBadRequest},
 		{"both programs", `{"asm": "ebreak", "words": [115]}`, http.StatusBadRequest},
 		{"bad assembly", `{"asm": "frobnicate t0"}`, http.StatusBadRequest},
+		{"huge reservation", `{"asm": ".space 4000000000"}`, http.StatusBadRequest},
 		{"oversized words", `{"words": [` + strings.Repeat("19,", 16) + `115]}`, http.StatusRequestEntityTooLarge},
 		{"wrong method", ``, http.StatusMethodNotAllowed},
 	}

@@ -5,70 +5,6 @@ import (
 	"math"
 )
 
-// MovingAverage smooths x with a centered window of the given (odd) width.
-// Edges use the available samples. Width 1 returns a copy.
-func MovingAverage(x []float64, width int) ([]float64, error) {
-	if width < 1 || width%2 == 0 {
-		return nil, fmt.Errorf("signal: moving average width %d must be odd and >= 1", width)
-	}
-	half := width / 2
-	out := make([]float64, len(x))
-	for i := range x {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(x) {
-			hi = len(x) - 1
-		}
-		s := 0.0
-		for j := lo; j <= hi; j++ {
-			s += x[j]
-		}
-		out[i] = s / float64(hi-lo+1)
-	}
-	return out, nil
-}
-
-// GaussianFilter smooths x with a Gaussian of the given standard deviation
-// (in samples), truncated at 3σ. Sigma 0 returns a copy.
-func GaussianFilter(x []float64, sigma float64) ([]float64, error) {
-	if sigma < 0 {
-		return nil, fmt.Errorf("signal: negative sigma %g", sigma)
-	}
-	//emsim:ignore floatcmp sigma 0 is the documented pass-through sentinel, supplied literally by callers
-	if sigma == 0 {
-		return append([]float64(nil), x...), nil
-	}
-	radius := int(math.Ceil(3 * sigma))
-	weights := make([]float64, 2*radius+1)
-	sum := 0.0
-	for i := range weights {
-		d := float64(i - radius)
-		weights[i] = math.Exp(-d * d / (2 * sigma * sigma))
-		sum += weights[i]
-	}
-	for i := range weights {
-		weights[i] /= sum
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		acc, wsum := 0.0, 0.0
-		for k, w := range weights {
-			j := i + k - radius
-			if j < 0 || j >= len(x) {
-				continue
-			}
-			acc += w * x[j]
-			wsum += w
-		}
-		if wsum > 0 {
-			out[i] = acc / wsum
-		}
-	}
-	return out, nil
-}
-
 // RMSE returns the root-mean-square error between two equal-length
 // signals.
 func RMSE(a, b []float64) (float64, error) {
@@ -141,45 +77,4 @@ func NormalizeMeanAbs(x []float64) []float64 {
 		out[i] = v * scale
 	}
 	return out
-}
-
-// Resample linearly interpolates x (sampled uniformly) onto n output
-// samples covering the same time span.
-func Resample(x []float64, n int) ([]float64, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("signal: resample to %d samples", n)
-	}
-	if len(x) == 0 {
-		return nil, fmt.Errorf("signal: resample of empty signal")
-	}
-	out := make([]float64, n)
-	if len(x) == 1 {
-		for i := range out {
-			out[i] = x[0]
-		}
-		return out, nil
-	}
-	for i := 0; i < n; i++ {
-		pos := float64(i) * float64(len(x)-1) / float64(n-1)
-		lo := int(pos)
-		if lo >= len(x)-1 {
-			out[i] = x[len(x)-1]
-			continue
-		}
-		frac := pos - float64(lo)
-		out[i] = x[lo]*(1-frac) + x[lo+1]*frac
-	}
-	return out, nil
-}
-
-// AddScaled returns a + scale·b for equal-length signals.
-func AddScaled(a []float64, scale float64, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("signal: AddScaled length mismatch %d vs %d", len(a), len(b))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + scale*b[i]
-	}
-	return out, nil
 }

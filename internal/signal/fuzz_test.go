@@ -20,8 +20,8 @@ var fuzzKernels = []Kernel{
 // naiveOverlapAdd is the textbook reference for Equ. 2/4/6: a fresh
 // output buffer, one kernel instance per cycle, scaled and superposed,
 // tail truncated at cycles*spc. Additions run in the same cycle-major,
-// tap-minor order as the streaming implementations, so agreement is
-// required bit for bit, not merely within epsilon.
+// tap-minor order as the Reconstructor, so agreement is required bit for
+// bit, not merely within epsilon.
 func naiveOverlapAdd(amps []float64, taps []float64, spc int) []float64 {
 	n := len(amps) * spc
 	out := make([]float64, n)
@@ -41,10 +41,10 @@ func naiveOverlapAdd(amps []float64, taps []float64, spc int) []float64 {
 }
 
 // FuzzReconstructorOverlapAdd drives the in-place streaming
-// Reconstructor (and the batch ReconstructInto) with arbitrary
-// amplitude series — including NaN, infinities, subnormals and signed
-// zeros — and demands bit-exact equivalence with the naive reference,
-// on a fresh buffer and again on a reused one.
+// Reconstructor (and the one-shot Reconstruct built on it) with
+// arbitrary amplitude series — including NaN, infinities, subnormals and
+// signed zeros — and demands bit-exact equivalence with the naive
+// reference, on a fresh buffer and again on a reused one.
 func FuzzReconstructorOverlapAdd(f *testing.F) {
 	f.Add([]byte{}, uint8(4), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 240, 63, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(1), uint8(1))
@@ -62,13 +62,13 @@ func FuzzReconstructorOverlapAdd(f *testing.F) {
 			data = data[8:]
 		}
 
-		want := MustReconstruct(amps, spc, k) // delegates to ReconstructInto
+		want := MustReconstruct(amps, spc, k)
 		taps, err := k.Taps(spc)
 		if err != nil {
 			t.Fatalf("taps: %v", err)
 		}
 		naive := naiveOverlapAdd(amps, taps, spc)
-		requireBitEqual(t, "ReconstructInto vs naive", naive, want)
+		requireBitEqual(t, "Reconstruct vs naive", naive, want)
 
 		r, err := k.NewReconstructor(spc)
 		if err != nil {

@@ -1,8 +1,7 @@
 // Package signal implements the signal-processing layer of EMSim: the
-// per-cycle analog reconstruction kernels of §II-C (Equ. 2–6), the modulo
-// operation for averaging repeated measurements (Equ. 1), smoothing
-// filters, correlation metrics, an FFT, and the paper's per-cycle accuracy
-// metric (§V-A).
+// per-cycle analog reconstruction kernels of §II-C (Equ. 2–6), their
+// overlap-add renderer, correlation metrics, and the paper's per-cycle
+// accuracy metric (§V-A).
 package signal
 
 import (
@@ -107,42 +106,16 @@ func (k Kernel) Taps(samplesPerCycle int) ([]float64, error) {
 // amplitudes x[n] (Equ. 2/4/6): one kernel instance per clock cycle,
 // scaled by that cycle's amplitude, superposed. The output has
 // len(x)*samplesPerCycle samples (the tail beyond the last cycle is
-// truncated). It is the allocating wrapper around ReconstructInto.
+// truncated). It is the one-shot form of a Reconstructor, rendered into
+// a buffer sized up front so it is allocated once.
 func Reconstruct(x []float64, samplesPerCycle int, k Kernel) ([]float64, error) {
-	return ReconstructInto(nil, x, samplesPerCycle, k)
-}
-
-// ReconstructInto is the in-place overlap-add form of Reconstruct: the
-// signal is rendered into dst's backing array, which is grown only when
-// its capacity is insufficient, and the (possibly re-sliced) result is
-// returned. Passing the previous output back as dst makes repeated
-// same-shaped reconstructions allocation-free apart from the tap table;
-// callers that also want the taps cached should use a Reconstructor.
-//
-//emsim:noalloc
-func ReconstructInto(dst []float64, x []float64, samplesPerCycle int, k Kernel) ([]float64, error) {
-	//emsim:ignore noalloc the tap table is sampled once per call; the per-cycle render loop below stays allocation-free
-	taps, err := k.Taps(samplesPerCycle)
+	r, err := k.NewReconstructor(samplesPerCycle)
 	if err != nil {
 		return nil, err
 	}
-	n := len(x) * samplesPerCycle
-	dst = growZeroed(dst[:0], n)
-	for c, amp := range x {
-		//emsim:ignore floatcmp skipping exactly-zero amplitudes is a pure optimization; near-zero cycles still render
-		if amp == 0 {
-			continue
-		}
-		base := c * samplesPerCycle
-		for i, tap := range taps {
-			idx := base + i
-			if idx >= n {
-				break
-			}
-			dst[idx] += amp * tap
-		}
-	}
-	return dst, nil
+	r.Start(make([]float64, 0, len(x)*samplesPerCycle+len(r.taps)))
+	r.AddChunk(x)
+	return r.Finish(), nil
 }
 
 // MustReconstruct is Reconstruct for known-good kernels.

@@ -2,65 +2,10 @@ package signal
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-// TestFFTParseval: energy is preserved between time and frequency domains
-// (Parseval's theorem), a strong whole-transform correctness property.
-func TestFFTParseval(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	f := func() bool {
-		n := 1 << (3 + r.Intn(5)) // 8..128
-		x := make([]complex128, n)
-		timeEnergy := 0.0
-		for i := range x {
-			x[i] = complex(r.NormFloat64(), r.NormFloat64())
-			timeEnergy += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
-		}
-		fx, err := FFT(x)
-		if err != nil {
-			return false
-		}
-		freqEnergy := 0.0
-		for _, v := range fx {
-			freqEnergy += cmplx.Abs(v) * cmplx.Abs(v)
-		}
-		freqEnergy /= float64(n)
-		return math.Abs(timeEnergy-freqEnergy) < 1e-6*timeEnergy
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestFFTLinearity: FFT(a·x + b·y) = a·FFT(x) + b·FFT(y).
-func TestFFTLinearity(t *testing.T) {
-	r := rand.New(rand.NewSource(32))
-	n := 64
-	x := make([]complex128, n)
-	y := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(r.NormFloat64(), 0)
-		y[i] = complex(r.NormFloat64(), 0)
-	}
-	a, b := complex(2.5, 0), complex(-1.25, 0)
-	mix := make([]complex128, n)
-	for i := range mix {
-		mix[i] = a*x[i] + b*y[i]
-	}
-	fx, _ := FFT(x)
-	fy, _ := FFT(y)
-	fmix, _ := FFT(mix)
-	for i := range fmix {
-		want := a*fx[i] + b*fy[i]
-		if cmplx.Abs(fmix[i]-want) > 1e-9 {
-			t.Fatalf("linearity violated at bin %d", i)
-		}
-	}
-}
 
 // TestReconstructLinearity: reconstruction is linear in the amplitudes.
 func TestReconstructLinearity(t *testing.T) {
@@ -93,31 +38,6 @@ func TestReconstructLinearity(t *testing.T) {
 	}
 }
 
-// TestMovingAveragePreservesConstant: filters must not distort a flat
-// signal.
-func TestFiltersPreserveConstant(t *testing.T) {
-	x := make([]float64, 40)
-	for i := range x {
-		x[i] = 3.5
-	}
-	ma, err := MovingAverage(x, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := GaussianFilter(x, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(ma[i]-3.5) > 1e-12 {
-			t.Fatalf("moving average distorted a constant at %d: %v", i, ma[i])
-		}
-		if math.Abs(g[i]-3.5) > 1e-9 {
-			t.Fatalf("gaussian distorted a constant at %d: %v", i, g[i])
-		}
-	}
-}
-
 // TestCycleAccuracySymmetry: the metric is symmetric in its arguments.
 func TestCycleAccuracySymmetry(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
@@ -137,32 +57,5 @@ func TestCycleAccuracySymmetry(t *testing.T) {
 	}
 	if math.Abs(ab-ba) > 1e-12 {
 		t.Errorf("CycleAccuracy asymmetric: %v vs %v", ab, ba)
-	}
-}
-
-// TestModuloAverageScaleInvariance: folding a scaled capture scales the
-// folded waveform.
-func TestModuloAverageScaleInvariance(t *testing.T) {
-	r := rand.New(rand.NewSource(35))
-	samples := make([]float64, 5000)
-	for i := range samples {
-		samples[i] = math.Sin(2*math.Pi*float64(i)*0.013) + 0.1*r.NormFloat64()
-	}
-	scaled := make([]float64, len(samples))
-	for i := range scaled {
-		scaled[i] = 4 * samples[i]
-	}
-	a, err := ModuloAverage(samples, 1, 77, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ModuloAverage(scaled, 1, 77, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if math.Abs(b[i]-4*a[i]) > 1e-9 {
-			t.Fatalf("fold not linear at bin %d: %v vs %v", i, b[i], 4*a[i])
-		}
 	}
 }

@@ -1,25 +1,5 @@
 package signal
 
-// growZeroed returns s extended to length n with every element zeroed.
-// The backing array is reused when its capacity suffices; only growth
-// beyond the capacity allocates. s must have length <= n.
-//
-//emsim:noalloc
-func growZeroed(s []float64, n int) []float64 {
-	if n <= cap(s) {
-		s = s[:n]
-	} else {
-		//emsim:ignore noalloc amortized warm-up growth; a steady-state reuse cycle never reaches this branch
-		grown := make([]float64, n, n+n/2)
-		copy(grown, s)
-		s = grown
-	}
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 // Reconstructor is a reusable streaming renderer for the overlap-add
 // reconstruction of Equ. 2/4/6. It caches the kernel tap table once and
 // consumes per-cycle amplitudes one at a time (or chunk by chunk), so the
@@ -55,16 +35,13 @@ func (k Kernel) NewReconstructor(samplesPerCycle int) (*Reconstructor, error) {
 	return &Reconstructor{taps: taps, spc: samplesPerCycle}, nil
 }
 
-// SamplesPerCycle returns the analog rate the reconstructor renders at.
-func (r *Reconstructor) SamplesPerCycle() int { return r.spc }
-
 // Start begins a new signal, rendering into dst's backing array (grown
 // only when needed). Pass the previous Finish result to reuse its
 // capacity, or nil to allocate fresh.
 //
 //emsim:noalloc
 func (r *Reconstructor) Start(dst []float64) {
-	r.out = growZeroed(dst[:0], 0)
+	r.out = dst[:0]
 	r.cycles = 0
 }
 
@@ -91,7 +68,7 @@ func (r *Reconstructor) extend(n int) {
 
 // Add superposes one cycle's kernel instance, scaled by amp, at the next
 // cycle position. The tail reaching past the final cycle is trimmed by
-// Finish, exactly as Reconstruct truncates it.
+// Finish.
 //
 //emsim:noalloc
 func (r *Reconstructor) Add(amp float64) {
@@ -120,9 +97,9 @@ func (r *Reconstructor) AddChunk(amps []float64) {
 func (r *Reconstructor) Cycles() int { return r.cycles }
 
 // Finish truncates the kernel tail beyond the last cycle and returns the
-// rendered signal: cycles×samplesPerCycle samples, bit-for-bit identical
-// to Reconstruct of the same amplitude series. The returned slice aliases
-// the reconstructor's buffer only until the next Start that reuses it.
+// rendered signal: cycles×samplesPerCycle samples. The returned slice
+// aliases the reconstructor's buffer only until the next Start that
+// reuses it.
 //
 //emsim:noalloc
 func (r *Reconstructor) Finish() []float64 {

@@ -21,44 +21,17 @@ func randAmps(r *rand.Rand, n int) []float64 {
 	for i := range x {
 		x[i] = r.NormFloat64()
 	}
-	// Sprinkle exact zeros: both paths special-case amp == 0.
+	// Sprinkle exact zeros: the renderer and the reference both skip them.
 	for i := 0; i < n/8; i++ {
 		x[r.Intn(n)] = 0
 	}
 	return x
 }
 
-// TestReconstructIntoMatchesReconstruct pins the in-place path to the
-// allocating one, including buffer reuse across differently sized inputs.
-func TestReconstructIntoMatchesReconstruct(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var dst []float64
-	for _, k := range kernelsUnderTest() {
-		for _, n := range []int{1, 5, 64, 17} { // shrinking size reuses capacity
-			x := randAmps(r, n)
-			want, err := Reconstruct(x, 8, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst, err = ReconstructInto(dst, x, 8, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(dst) != len(want) {
-				t.Fatalf("kernel %v n=%d: got %d samples, want %d", k.Kind, n, len(dst), len(want))
-			}
-			for i := range want {
-				if dst[i] != want[i] {
-					t.Fatalf("kernel %v n=%d: sample %d = %g, want %g (bit-exact)", k.Kind, n, i, dst[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestReconstructorMatchesReconstruct pins the streaming renderer — both
-// one amplitude at a time and chunk by chunk — to the batch path,
-// bit for bit.
+// TestReconstructorMatchesReconstruct pins the streaming renderer — one
+// amplitude at a time, chunk by chunk, and the one-shot Reconstruct built
+// on it — to the naive overlap-add reference, bit for bit, including
+// buffer reuse across differently sized inputs.
 func TestReconstructorMatchesReconstruct(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, k := range kernelsUnderTest() {
@@ -66,13 +39,20 @@ func TestReconstructorMatchesReconstruct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		taps, err := k.Taps(8)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var sig []float64
-		for _, n := range []int{1, 5, 64, 17} {
+		for _, n := range []int{1, 5, 64, 17} { // shrinking size reuses capacity
 			x := randAmps(r, n)
-			want, err := Reconstruct(x, 8, k)
+			want := naiveOverlapAdd(x, taps, 8)
+
+			once, err := Reconstruct(x, 8, k)
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertBitEqual(t, k, n, "Reconstruct", once, want)
 
 			rec.Start(sig)
 			for _, a := range x {
@@ -148,32 +128,5 @@ func TestReconstructorSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state per-amp reconstruction allocates %.1f times per trace, want 0", allocs)
-	}
-}
-
-// TestReconstructIntoAllocatesOnlyTapTable pins ReconstructInto's
-// documented exception: with a recycled destination it allocates exactly
-// what sampling the kernel's tap table costs, and nothing per cycle.
-func TestReconstructIntoAllocatesOnlyTapTable(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	x := randAmps(r, 128)
-	k := DefaultKernel()
-	sig, err := ReconstructInto(nil, x, 16, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tapAllocs := testing.AllocsPerRun(20, func() {
-		if _, err := k.Taps(16); err != nil {
-			t.Fatal(err)
-		}
-	})
-	allocs := testing.AllocsPerRun(20, func() {
-		sig, err = ReconstructInto(sig, x, 16, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > tapAllocs {
-		t.Errorf("warm ReconstructInto allocates %.1f times per call, want at most the tap table's %.1f", allocs, tapAllocs)
 	}
 }

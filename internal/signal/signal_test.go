@@ -124,55 +124,6 @@ func TestReconstructSuperposes(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y, err := MovingAverage(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1.5, 2, 3, 4, 4.5}
-	for i := range want {
-		if math.Abs(y[i]-want[i]) > 1e-12 {
-			t.Errorf("ma[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-	if _, err := MovingAverage(x, 2); err == nil {
-		t.Error("even width accepted")
-	}
-	if _, err := MovingAverage(x, 0); err == nil {
-		t.Error("zero width accepted")
-	}
-}
-
-func TestGaussianFilterSmoothsImpulse(t *testing.T) {
-	x := make([]float64, 21)
-	x[10] = 1
-	y, err := GaussianFilter(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[10] >= 1 || y[10] <= 0 {
-		t.Errorf("center = %v", y[10])
-	}
-	if y[8] <= 0 || y[8] >= y[10] {
-		t.Errorf("shoulder = %v, center = %v", y[8], y[10])
-	}
-	// Symmetric response.
-	if math.Abs(y[8]-y[12]) > 1e-12 {
-		t.Error("asymmetric response")
-	}
-	// Sigma 0 is identity.
-	id, _ := GaussianFilter(x, 0)
-	for i := range x {
-		if id[i] != x[i] {
-			t.Fatal("sigma 0 not identity")
-		}
-	}
-	if _, err := GaussianFilter(x, -1); err == nil {
-		t.Error("negative sigma accepted")
-	}
-}
-
 func TestRMSEAndEnergy(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{1, 2, 5}
@@ -251,125 +202,6 @@ func TestNormalizeMeanAbs(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y, err := Resample(x, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 0 || y[6] != 3 {
-		t.Errorf("endpoints = %v, %v", y[0], y[6])
-	}
-	if math.Abs(y[3]-1.5) > 1e-12 {
-		t.Errorf("midpoint = %v, want 1.5", y[3])
-	}
-	if _, err := Resample(nil, 3); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, err := Resample(x, 0); err == nil {
-		t.Error("zero target accepted")
-	}
-	one, _ := Resample([]float64{5}, 3)
-	if one[0] != 5 || one[2] != 5 {
-		t.Error("single-sample resample broken")
-	}
-}
-
-func TestAddScaled(t *testing.T) {
-	got, err := AddScaled([]float64{1, 2}, 2, []float64{10, 20})
-	if err != nil || got[0] != 21 || got[1] != 42 {
-		t.Errorf("AddScaled = %v (%v)", got, err)
-	}
-	if _, err := AddScaled([]float64{1}, 1, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestModuloAverageRecoversPeriodicSignal(t *testing.T) {
-	// A periodic signal sampled with an incommensurate rate plus noise:
-	// folding must recover the one-period waveform.
-	r := rand.New(rand.NewSource(2))
-	seqPeriod := 1.0 // one sequence period
-	bins := 50
-	wave := func(phase float64) float64 {
-		return math.Sin(2*math.Pi*phase) + 0.5*math.Cos(6*math.Pi*phase)
-	}
-	samplePeriod := 0.013717 // incommensurate with 1.0
-	var samples []float64
-	for m := 0; m < 40000; m++ {
-		tm := float64(m) * samplePeriod
-		phase := tm - math.Floor(tm/seqPeriod)*seqPeriod
-		samples = append(samples, wave(phase)+0.3*r.NormFloat64())
-	}
-	got, err := ModuloAverage(samples, samplePeriod, seqPeriod, bins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, bins)
-	for i := range want {
-		want[i] = wave((float64(i) + 0.5) / float64(bins))
-	}
-	ncc, err := NCC(got, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ncc < 0.98 {
-		t.Errorf("folded waveform correlation = %v, want >= 0.98", ncc)
-	}
-}
-
-func TestModuloAverageNoiseless(t *testing.T) {
-	// Noiseless periodic data must be recovered (nearly) exactly.
-	seqPeriod := 2.0
-	bins := 20
-	samplePeriod := 0.0101
-	var samples []float64
-	for m := 0; m < 20000; m++ {
-		tm := float64(m) * samplePeriod
-		phase := (tm - math.Floor(tm/seqPeriod)*seqPeriod) / seqPeriod
-		samples = append(samples, math.Sin(2*math.Pi*phase))
-	}
-	got, err := ModuloAverage(samples, samplePeriod, seqPeriod, bins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		phase := (float64(i) + 0.5) / float64(bins)
-		if math.Abs(v-math.Sin(2*math.Pi*phase)) > 0.2 {
-			t.Errorf("bin %d = %v, want ~%v", i, v, math.Sin(2*math.Pi*phase))
-		}
-	}
-}
-
-func TestModuloAverageErrors(t *testing.T) {
-	if _, err := ModuloAverage(nil, 1, 1, 4); err == nil {
-		t.Error("empty capture accepted")
-	}
-	if _, err := ModuloAverage([]float64{1}, 0, 1, 4); err == nil {
-		t.Error("zero sample period accepted")
-	}
-	if _, err := ModuloAverage([]float64{1}, 1, 0, 4); err == nil {
-		t.Error("zero sequence period accepted")
-	}
-	if _, err := ModuloAverage([]float64{1}, 1, 1, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-}
-
-func TestModuloAverageFillsEmptyBins(t *testing.T) {
-	// Commensurate sampling hits only a few bins; the rest interpolate.
-	samples := []float64{1, 3, 1, 3, 1, 3}
-	got, err := ModuloAverage(samples, 0.5, 1.0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range got {
-		if v < 1 || v > 3 {
-			t.Errorf("interpolated bin %v outside [1,3]", v)
-		}
-	}
-}
-
 // naiveDFT is the O(n²) reference implementation.
 func naiveDFT(x []complex128) []complex128 {
 	n := len(x)
@@ -383,122 +215,6 @@ func naiveDFT(x []complex128) []complex128 {
 		out[k] = s
 	}
 	return out
-}
-
-func TestFFTMatchesNaiveDFT(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 4, 8, 16, 64} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(r.NormFloat64(), r.NormFloat64())
-		}
-		got, err := FFT(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := naiveDFT(x)
-		for i := range want {
-			if cmplx.Abs(got[i]-want[i]) > 1e-9*float64(n) {
-				t.Fatalf("n=%d: FFT[%d] = %v, want %v", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestFFTRejectsNonPow2(t *testing.T) {
-	if _, err := FFT(make([]complex128, 3)); err == nil {
-		t.Error("length 3 accepted")
-	}
-	if _, err := FFT(nil); err == nil {
-		t.Error("empty accepted")
-	}
-}
-
-func TestIFFTInvertsFFT(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	x := make([]complex128, 32)
-	for i := range x {
-		x[i] = complex(r.NormFloat64(), 0)
-	}
-	fx, err := FFT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := IFFT(fx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if cmplx.Abs(back[i]-x[i]) > 1e-9 {
-			t.Fatalf("IFFT(FFT(x))[%d] = %v, want %v", i, back[i], x[i])
-		}
-	}
-}
-
-func TestPowerSpectrumFindsTone(t *testing.T) {
-	fs := 1000.0
-	tone := 125.0
-	n := 1024
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * tone * float64(i) / fs)
-	}
-	freqs, power, err := PowerSpectrum(x, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Peak bin must be at the tone frequency.
-	best := 0
-	for i := range power {
-		if power[i] > power[best] {
-			best = i
-		}
-	}
-	if math.Abs(freqs[best]-tone) > fs/float64(n) {
-		t.Errorf("peak at %v Hz, want %v", freqs[best], tone)
-	}
-	// Parseval-ish: band energy around the tone dominates the total.
-	be, err := BandEnergy(freqs, power, tone, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0.0
-	for _, p := range power {
-		total += p
-	}
-	if be < 0.9*total {
-		t.Errorf("tone band has %v of %v total", be, total)
-	}
-}
-
-func TestPowerSpectrumErrors(t *testing.T) {
-	if _, _, err := PowerSpectrum(nil, 1); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, _, err := PowerSpectrum([]float64{1}, 0); err == nil {
-		t.Error("zero rate accepted")
-	}
-}
-
-func TestBandEnergyErrors(t *testing.T) {
-	if _, err := BandEnergy([]float64{1}, []float64{1, 2}, 1, 1); err == nil {
-		t.Error("mismatch accepted")
-	}
-	if _, err := BandEnergy([]float64{1}, []float64{1}, 100, 1); err == nil {
-		t.Error("empty band accepted")
-	}
-	if _, err := BandEnergy([]float64{1}, []float64{1}, 1, -1); err == nil {
-		t.Error("negative bandwidth accepted")
-	}
-}
-
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 5: 8, 1024: 1024, 1025: 2048}
-	for in, want := range cases {
-		if got := NextPow2(in); got != want {
-			t.Errorf("NextPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
 }
 
 func TestCycleAccuracyPerfectAndScaled(t *testing.T) {
@@ -573,20 +289,6 @@ func TestCycleAccuracyErrors(t *testing.T) {
 	}
 	if _, err := PerCycleCorrelation([]float64{1}, []float64{1}, 0); err == nil {
 		t.Error("PerCycleCorrelation spc=0 accepted")
-	}
-}
-
-func BenchmarkFFT1024(b *testing.B) {
-	r := rand.New(rand.NewSource(6))
-	x := make([]complex128, 1024)
-	for i := range x {
-		x[i] = complex(r.NormFloat64(), 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FFT(x); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -24,10 +24,3 @@ func ApproxEqual(a, b, rel float64) bool {
 	}
 	return math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))
 }
-
-// ApproxZero reports whether |x| <= tol. Use it for guards against
-// dividing by a computed quantity that may have decayed to rounding
-// noise; pass a tolerance scaled to the quantity's natural magnitude.
-func ApproxZero(x, tol float64) bool {
-	return math.Abs(x) <= tol
-}

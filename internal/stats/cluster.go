@@ -192,16 +192,6 @@ func (dg *Dendrogram) Cut(k int) ([]int, error) {
 	return out, nil
 }
 
-// MergeDistances returns the distance of each merge in order — useful for
-// choosing a cut (look for the largest jump).
-func (dg *Dendrogram) MergeDistances() []float64 {
-	out := make([]float64, len(dg.merges))
-	for i, m := range dg.merges {
-		out[i] = m.dist
-	}
-	return out
-}
-
 // CorrelationDistance converts a normalized cross-correlation in [-1, 1]
 // into a distance in [0, 2] (1 − ρ), the metric the paper pairs with
 // agglomerative clustering.

@@ -94,16 +94,6 @@ type StepwiseResult struct {
 	Dropped int
 }
 
-// PredictFull evaluates the model on a full-width feature vector (with all
-// candidate columns present).
-func (s *StepwiseResult) PredictFull(x []float64) float64 {
-	v := s.Model.Intercept
-	for k, c := range s.Selected {
-		v += s.Model.Coef[k] * x[c]
-	}
-	return v
-}
-
 // fCriticalApprox returns an approximate critical value for an F(1, df2)
 // test at the 5% level. For df2 ≥ 30 it is close to 4.0, rising for small
 // samples; this matches the standard F tables well enough for variable

@@ -162,8 +162,8 @@ func TestStepwiseEdgeCases(t *testing.T) {
 		if got := res.Model.Intercept; math.Abs(got-2.5) > 1e-12 {
 			t.Errorf("intercept = %g, want 2.5", got)
 		}
-		if got := res.PredictFull([]float64{7, 9}); math.Abs(got-2.5) > 1e-12 {
-			t.Errorf("PredictFull = %g, want the mean 2.5", got)
+		if got := predictSelected(res, []float64{7, 9}); math.Abs(got-2.5) > 1e-12 {
+			t.Errorf("prediction = %g, want the mean 2.5", got)
 		}
 		if got, want := res.Model.RSS, interceptOnlyRSS(y); math.Abs(got-want) > 1e-12 {
 			t.Errorf("RSS = %g, want %g", got, want)

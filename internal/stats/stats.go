@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -36,29 +35,6 @@ func Variance(xs []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// MeanStd returns mean and sample standard deviation in one pass.
-func MeanStd(xs []float64) (mean, std float64) {
-	mean = Mean(xs)
-	return mean, StdDev(xs)
-}
-
-// Median returns the median of xs (0 for empty input). xs is not modified.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
 }
 
 // MinMax returns the extrema of xs; it panics on empty input.

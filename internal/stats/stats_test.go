@@ -15,20 +15,11 @@ func TestDescriptiveStats(t *testing.T) {
 	if got := Variance(xs); math.Abs(got-32.0/7) > 1e-12 {
 		t.Errorf("Variance = %v, want %v", got, 32.0/7)
 	}
-	if got := StdDev(xs); math.Abs(got-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Errorf("StdDev = %v", got)
-	}
-	if got := Median(xs); got != 4.5 {
-		t.Errorf("Median = %v", got)
-	}
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd Median = %v", got)
-	}
 	min, max := MinMax(xs)
 	if min != 2 || max != 9 {
 		t.Errorf("MinMax = %v, %v", min, max)
 	}
-	if Mean(nil) != 0 || Variance(nil) != 0 || Median(nil) != 0 {
+	if Mean(nil) != 0 || Variance(nil) != 0 {
 		t.Error("empty-input conventions broken")
 	}
 }
@@ -155,9 +146,19 @@ func TestStepwiseSelectsTrueSupport(t *testing.T) {
 		row[j] = r.NormFloat64()
 	}
 	want1 := 1 + 3*row[true1] - 2*row[true2] + 0.8*row[true3]
-	if gotv := res.PredictFull(row); math.Abs(gotv-want1) > 0.1 {
-		t.Errorf("PredictFull = %v, want %v", gotv, want1)
+	if gotv := predictSelected(res, row); math.Abs(gotv-want1) > 0.1 {
+		t.Errorf("prediction = %v, want %v", gotv, want1)
 	}
+}
+
+// predictSelected evaluates a stepwise fit on a full-width feature
+// vector: the fit's coefficients are ordered like its Selected columns.
+func predictSelected(res *StepwiseResult, row []float64) float64 {
+	sub := make([]float64, len(res.Selected))
+	for k, c := range res.Selected {
+		sub[k] = row[c]
+	}
+	return res.Model.Predict(sub)
 }
 
 func TestStepwiseNoSignal(t *testing.T) {
@@ -297,9 +298,6 @@ func TestApproxHelpers(t *testing.T) {
 	if ApproxEqual(inf, -inf, DefaultRelTol) {
 		t.Error("opposite infinities should not compare equal")
 	}
-	if !ApproxZero(1e-15, 1e-12) || ApproxZero(1e-9, 1e-12) {
-		t.Error("ApproxZero tolerance bounds wrong")
-	}
 }
 
 func TestTVLATraceDetectsLeak(t *testing.T) {
@@ -409,8 +407,8 @@ func TestDendrogramCutBounds(t *testing.T) {
 	if l2[0] == l2[1] {
 		t.Errorf("Cut(2) = %v", l2)
 	}
-	if got := dg.MergeDistances(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("MergeDistances = %v", got)
+	if len(dg.merges) != 1 || dg.merges[0].dist != 1 {
+		t.Errorf("merges = %+v, want one at distance 1", dg.merges)
 	}
 }
 
@@ -575,7 +573,7 @@ func TestStepwiseMatchesFullOLSWhenUnconstrained(t *testing.T) {
 			row[j] = r.NormFloat64()
 		}
 		a := full.Predict(row)
-		b := sw.PredictFull(row)
+		b := predictSelected(sw, row)
 		if math.Abs(a-b) > 1e-6 {
 			t.Fatalf("stepwise (%v) and OLS (%v) disagree", b, a)
 		}
@@ -635,14 +633,14 @@ func TestClusteringCutExtremes(t *testing.T) {
 	if len(seen) != n {
 		t.Errorf("Cut(n) gave %d clusters, want %d", len(seen), n)
 	}
-	if got := dg.MergeDistances(); len(got) != n-1 {
-		t.Errorf("%d merges recorded, want %d", len(got), n-1)
+	if len(dg.merges) != n-1 {
+		t.Errorf("%d merges recorded, want %d", len(dg.merges), n-1)
 	}
 	// Merge distances under average linkage on random data need not be
 	// monotone, but they must all be positive.
-	for _, d := range dg.MergeDistances() {
-		if d <= 0 {
-			t.Errorf("non-positive merge distance %v", d)
+	for _, m := range dg.merges {
+		if m.dist <= 0 {
+			t.Errorf("non-positive merge distance %v", m.dist)
 		}
 	}
 }
