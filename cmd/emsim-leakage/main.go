@@ -170,11 +170,11 @@ func runSavat(dev *emsim.Device, model *emsim.Model, aName, bName string,
 			fatal(err)
 		}
 		if doReal {
-			tr, sig, err := dev.MeasureAveraged(words, runs)
+			sig, err := dev.MeasureAveraged(words, runs)
 			if err != nil {
 				fatal(err)
 			}
-			if realV, err = emsim.Savat(sig, spc, len(tr), periods); err != nil {
+			if realV, err = emsim.Savat(sig, spc, len(sig)/spc, periods); err != nil {
 				fatal(err)
 			}
 		}

@@ -111,11 +111,12 @@ func TestFacadeSavat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, sig, err := env.Dev.MeasureAveraged(words, 8)
+	sig, err := env.Dev.MeasureAveraged(words, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Savat(sig, env.Dev.SamplesPerCycle(), len(tr), 16)
+	spc := env.Dev.SamplesPerCycle()
+	v, err := Savat(sig, spc, len(sig)/spc, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func main() {
 	var caps []capture
 	for i := 0; i < nTraces; i++ {
 		pt := byte(rng.Intn(256))
-		_, sig, err := dev.MeasureAveraged(gadget(pt, secret), 8)
+		sig, err := dev.MeasureAveraged(gadget(pt, secret), 8)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -37,11 +37,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr, sig, err := dev.MeasureAveraged(words, 10)
+		sig, err := dev.MeasureAveraged(words, 10)
 		if err != nil {
 			log.Fatal(err)
 		}
-		real, err = emsim.Savat(sig, spc, len(tr), periods)
+		real, err = emsim.Savat(sig, spc, len(sig)/spc, periods)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -30,7 +30,7 @@ type Comparison struct {
 // and scores the match. The model runs its own core; only the measured
 // waveform comes from the device.
 func (m *Model) CompareOnDevice(dev *device.Device, words []uint32, runs int) (*Comparison, error) {
-	devTrace, measured, err := dev.MeasureAveraged(words, runs)
+	measured, err := dev.MeasureAveraged(words, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -44,8 +44,8 @@ func (m *Model) CompareOnDevice(dev *device.Device, words []uint32, runs int) (*
 	if err != nil {
 		return nil, err
 	}
-	if sess.Cycles() != len(devTrace) {
-		return nil, fmt.Errorf("core: timing mismatch: model %d cycles, device %d", sess.Cycles(), len(devTrace))
+	if devCycles := len(measured) / dev.SamplesPerCycle(); sess.Cycles() != devCycles {
+		return nil, fmt.Errorf("core: timing mismatch: model %d cycles, device %d", sess.Cycles(), devCycles)
 	}
 	return m.Compare(measured, simulated)
 }

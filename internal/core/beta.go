@@ -12,7 +12,7 @@ import (
 // probeFit is the §V-D calibration regression: measured amplitudes at a
 // new probe position against the model's (unscaled) per-stage sources.
 func (m *Model) probeFit(dev *device.Device, words []uint32, runs int) (*stats.RegressionResult, error) {
-	devTrace, sig, err := dev.MeasureAveraged(words, runs)
+	sig, err := dev.MeasureAveraged(words, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -22,13 +22,6 @@ func (m *Model) probeFit(dev *device.Device, words []uint32, runs int) (*stats.R
 	if err != nil {
 		return nil, err
 	}
-	tr, err := c.RunProgram(words)
-	if err != nil {
-		return nil, err
-	}
-	if len(tr) != len(devTrace) {
-		return nil, fmt.Errorf("core: probe calibration timing mismatch (%d vs %d cycles)", len(tr), len(devTrace))
-	}
 	amps, err := ExtractAmplitudes(sig, m.SamplesPerCycle, m.Kernel)
 	if err != nil {
 		return nil, err
@@ -37,13 +30,16 @@ func (m *Model) probeFit(dev *device.Device, words []uint32, runs int) (*stats.R
 	if base.Beta != nil {
 		base = m.WithBeta([cpu.NumStages]float64{1, 1, 1, 1, 1})
 	}
-	feats := make([][]float64, len(tr))
-	for n := range tr {
+	var feats [][]float64
+	err = replay(c, []measurement{{words: words, amps: amps}}, func(cy *cpu.Cycle, _ float64) {
 		fv := make([]float64, cpu.NumStages)
 		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
-			fv[s] = base.stageSource(s, &tr[n].Stages[s], false)
+			fv[s] = base.stageSource(s, &cy.Stages[s], false)
 		}
-		feats[n] = fv
+		feats = append(feats, fv)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: probe calibration: %w", err)
 	}
 	fit, err := stats.LinearRegression(feats, amps)
 	if err != nil {

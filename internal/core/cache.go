@@ -3,22 +3,21 @@ package core
 import (
 	"hash/fnv"
 	"sync"
-
-	"emsim/internal/cpu"
 )
 
 // The measurement campaign is the dominant cost of training: every
-// averaged capture re-executes the program `runs` times through the
-// device. The robustness and budget studies of §V retrain over and over
-// against the same device, re-measuring sequences whose captures are a
-// pure function of (device, program, runs) — the determinism the
-// Measurer replicas guarantee. MeasurementCache exploits that purity: it
-// stores raw measurement artifacts content-addressed by device
-// fingerprint, averaging depth and program words, so a retraining run
-// (or a /v1/train job on a warm server) replays cached artifacts instead
-// of re-measuring. Fitted amplitudes are NOT cached — they depend on the
-// phase-0 kernel — so a hit is kernel-agnostic and safe across training
-// configurations.
+// averaged capture simulates the program and draws `runs` passes of
+// noise on the device. The robustness and budget studies of §V retrain
+// over and over against the same device, re-measuring sequences whose
+// captures are a pure function of (device, program, runs) — the
+// determinism the Measurer replicas guarantee. MeasurementCache
+// exploits that purity: it stores averaged device captures
+// content-addressed by device fingerprint, averaging depth and program
+// words, so a retraining run (or a /v1/train job on a warm server)
+// reuses cached captures instead of re-measuring. The fits replay each
+// program on the model core, so no trace is stored. Extracted
+// amplitudes are NOT cached — they depend on the phase-0 kernel — so a
+// hit is kernel-agnostic and safe across training configurations.
 
 // measurementKey content-addresses one averaged measurement.
 type measurementKey struct {
@@ -41,26 +40,19 @@ func hashProgram(words []uint32) uint64 {
 	return h.Sum64()
 }
 
-// rawMeasurement is one aligned measurement artifact before amplitude
-// extraction: the model core's trace and the averaged analog capture.
-// Artifacts are immutable once stored; every consumer only reads them.
-type rawMeasurement struct {
-	trace cpu.Trace // model-core trace (cycle-aligned with the capture)
-	y     []float64 // averaged noisy capture of the device
-}
-
 // CacheStats reports a cache's effectiveness.
 type CacheStats struct {
 	Hits, Misses int64
 	Entries      int
 }
 
-// MeasurementCache is a content-addressed store of measurement
-// artifacts, safe for concurrent use by any number of training workers.
+// MeasurementCache is a content-addressed store of averaged device
+// captures, safe for concurrent use by any number of training workers.
+// Captures are immutable once stored; every consumer only reads them.
 // A nil *MeasurementCache is valid and caches nothing.
 type MeasurementCache struct {
 	mu     sync.Mutex
-	m      map[measurementKey]*rawMeasurement
+	m      map[measurementKey][]float64
 	hits   int64
 	misses int64
 }
@@ -69,35 +61,35 @@ type MeasurementCache struct {
 // Trainer that measures the same device (or family of devices — keys
 // include the device fingerprint, so distinct boards never collide).
 func NewMeasurementCache() *MeasurementCache {
-	return &MeasurementCache{m: make(map[measurementKey]*rawMeasurement)}
+	return &MeasurementCache{m: make(map[measurementKey][]float64)}
 }
 
-// get returns the cached artifact for key, or nil on a miss.
-func (c *MeasurementCache) get(key measurementKey) *rawMeasurement {
+// get returns the cached capture for key, or nil on a miss.
+func (c *MeasurementCache) get(key measurementKey) []float64 {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r, ok := c.m[key]; ok {
+	if y, ok := c.m[key]; ok {
 		c.hits++
-		return r
+		return y
 	}
 	c.misses++
 	return nil
 }
 
-// put stores an artifact. First write wins; a concurrent duplicate (two
+// put stores a capture. First write wins; a concurrent duplicate (two
 // workers measuring the same program) is dropped, which is harmless
 // because determinism makes duplicates identical.
-func (c *MeasurementCache) put(key measurementKey, r *rawMeasurement) {
+func (c *MeasurementCache) put(key measurementKey, y []float64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[key]; !ok {
-		c.m[key] = r
+		c.m[key] = y
 	}
 }
 

@@ -42,7 +42,7 @@ func testModel(t *testing.T) (*Model, *device.Device) {
 
 func TestFitKernelRecoversDeviceKernel(t *testing.T) {
 	dev := device.MustNew(device.DefaultOptions())
-	_, y, err := dev.MeasureAveraged(allNOPProgram(64), 40)
+	y, err := dev.MeasureAveraged(allNOPProgram(64), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFitKernelRecoversDeviceKernel(t *testing.T) {
 
 func TestFitKernelFamilies(t *testing.T) {
 	dev := device.MustNew(device.DefaultOptions())
-	_, y, err := dev.MeasureAveraged(allNOPProgram(64), 40)
+	y, err := dev.MeasureAveraged(allNOPProgram(64), 40)
 	if err != nil {
 		t.Fatal(err)
 	}

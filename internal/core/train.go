@@ -47,9 +47,11 @@ type TrainOptions struct {
 	// starts). The callback must not block for long or it stalls the
 	// campaign; it may call back into the Trainer.
 	Progress func(Progress) `json:"-"`
-	// Cache, when non-nil, lets the campaign reuse measurement
-	// artifacts recorded by earlier trainings of devices with the same
-	// fingerprint (and share its own). See NewMeasurementCache.
+	// Cache, when non-nil, lets the campaign reuse the averaged device
+	// captures recorded by earlier trainings of devices with the same
+	// fingerprint (and share its own). A cache hit skips the device
+	// measurement only: the fits still replay the program on the model
+	// core. See NewMeasurementCache.
 	Cache *MeasurementCache `json:"-"`
 }
 
@@ -74,10 +76,11 @@ func (o *TrainOptions) setDefaults() {
 	}
 }
 
-// measurement is one aligned (model trace, extracted amplitudes) pair —
-// a raw artifact after phase-0 kernel deconvolution.
+// measurement is one program with the per-cycle amplitudes extracted
+// from its averaged capture by phase-0 kernel deconvolution; replay
+// aligns them with the model core's cycles.
 type measurement struct {
-	trace cpu.Trace
+	words []uint32
 	amps  []float64 // extracted per-cycle amplitudes
 }
 
@@ -92,39 +95,38 @@ func phase1Col(key int, s cpu.Stage) int { return 1 + key*cpu.NumStages + int(s)
 // (they are power-gated); bubbles and NOPs share the NOP column. Ridge
 // regularization resolves the benign indeterminacies between stages that
 // always stall together.
-func (t *Trainer) fitBaseline(m *Model, meas []*measurement) error {
+func (t *Trainer) fitBaseline(m *Model, meas []measurement) error {
 	xtx := linalg.NewMatrix(phase1Columns, phase1Columns)
 	xty := make([]float64, phase1Columns)
 	rows := 0
 	row := make([]float64, phase1Columns)
-	for _, me := range meas {
-		for n := range me.trace {
-			for i := range row {
-				row[i] = 0
-			}
-			row[0] = 1
-			c := &me.trace[n]
-			full := FullModel()
-			tmp := Model{Options: full}
-			for s := cpu.Stage(0); s < cpu.NumStages; s++ {
-				st := &c.Stages[s]
-				if st.Stalled {
-					continue
-				}
-				row[phase1Col(tmp.ampKeyFor(st), s)] += 1
-			}
-			y := me.amps[n]
-			for i := 0; i < phase1Columns; i++ {
-				if row[i] == 0 {
-					continue
-				}
-				xty[i] += row[i] * y
-				for j := i; j < phase1Columns; j++ {
-					xtx.Set(i, j, xtx.At(i, j)+row[i]*row[j])
-				}
-			}
-			rows++
+	err := replay(t.core, meas, func(c *cpu.Cycle, y float64) {
+		for i := range row {
+			row[i] = 0
 		}
+		row[0] = 1
+		full := FullModel()
+		tmp := Model{Options: full}
+		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
+			st := &c.Stages[s]
+			if st.Stalled {
+				continue
+			}
+			row[phase1Col(tmp.ampKeyFor(st), s)] += 1
+		}
+		for i := 0; i < phase1Columns; i++ {
+			if row[i] == 0 {
+				continue
+			}
+			xty[i] += row[i] * y
+			for j := i; j < phase1Columns; j++ {
+				xtx.Set(i, j, xtx.At(i, j)+row[i]*row[j])
+			}
+		}
+		rows++
+	})
+	if err != nil {
+		return err
 	}
 	if rows < phase1Columns {
 		return fmt.Errorf("only %d cycles for %d unknowns", rows, phase1Columns)
@@ -171,7 +173,7 @@ func featureOffsets() (offsets [cpu.NumStages]int, total int) {
 // the phase-1 model, with stepwise selection over every stage's
 // transition bits (the paper's pruning of T), plus the equal-weight
 // fallback of Equ. 7 for the Figure 3 ablation.
-func (t *Trainer) fitActivity(m *Model, meas []*measurement) error {
+func (t *Trainer) fitActivity(m *Model, meas []measurement) error {
 	offsets, total := featureOffsets()
 
 	base := m.WithOptions(ModelOptions{
@@ -184,34 +186,34 @@ func (t *Trainer) fitActivity(m *Model, meas []*measurement) error {
 
 	var feats [][]float64
 	var resid []float64
-	for _, me := range meas {
-		for n := range me.trace {
-			c := &me.trace[n]
-			flips := 0
-			for s := cpu.Stage(0); s < cpu.NumStages; s++ {
-				flips += c.Stages[s].FlipCount()
+	err := replay(t.core, meas, func(c *cpu.Cycle, amp float64) {
+		flips := 0
+		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
+			flips += c.Stages[s].FlipCount()
+		}
+		if flips == 0 {
+			return
+		}
+		fv := make([]float64, total)
+		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
+			st := &c.Stages[s]
+			if st.Stalled {
+				continue // gated stages contribute no switching noise
 			}
-			if flips == 0 {
-				continue
-			}
-			fv := make([]float64, total)
-			for s := cpu.Stage(0); s < cpu.NumStages; s++ {
-				st := &c.Stages[s]
-				if st.Stalled {
-					continue // gated stages contribute no switching noise
-				}
-				for w := 0; w < cpu.LatchWords(s); w++ {
-					f := st.Flip[w]
-					for b := 0; f != 0 && b < 32; b++ {
-						if f&(1<<uint(b)) != 0 {
-							fv[offsets[s]+32*w+b] = 1
-						}
+			for w := 0; w < cpu.LatchWords(s); w++ {
+				f := st.Flip[w]
+				for b := 0; f != 0 && b < 32; b++ {
+					if f&(1<<uint(b)) != 0 {
+						fv[offsets[s]+32*w+b] = 1
 					}
 				}
 			}
-			feats = append(feats, fv)
-			resid = append(resid, me.amps[n]-base.CycleAmplitude(c))
 		}
+		feats = append(feats, fv)
+		resid = append(resid, amp-base.CycleAmplitude(c))
+	})
+	if err != nil {
+		return err
 	}
 	if len(resid) < 50 {
 		return fmt.Errorf("only %d activity samples", len(resid))
@@ -259,23 +261,23 @@ func (t *Trainer) fitActivity(m *Model, meas []*measurement) error {
 // fitMISO fits the final combination (Equ. 9): measured amplitudes
 // against the per-stage source values of the current model, over mixed
 // programs where all clusters share the pipeline.
-func (t *Trainer) fitMISO(m *Model, meas []*measurement) error {
+func (t *Trainer) fitMISO(m *Model, meas []measurement) error {
 	var feats [][]float64
 	var single [][]float64
 	var ys []float64
-	for _, me := range meas {
-		for n := range me.trace {
-			c := &me.trace[n]
-			fv := make([]float64, cpu.NumStages)
-			sum := 0.0
-			for s := cpu.Stage(0); s < cpu.NumStages; s++ {
-				fv[s] = m.stageSource(s, &c.Stages[s], false)
-				sum += fv[s]
-			}
-			feats = append(feats, fv)
-			single = append(single, []float64{sum})
-			ys = append(ys, me.amps[n])
+	err := replay(t.core, meas, func(c *cpu.Cycle, amp float64) {
+		fv := make([]float64, cpu.NumStages)
+		sum := 0.0
+		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
+			fv[s] = m.stageSource(s, &c.Stages[s], false)
+			sum += fv[s]
 		}
+		feats = append(feats, fv)
+		single = append(single, []float64{sum})
+		ys = append(ys, amp)
+	})
+	if err != nil {
+		return err
 	}
 	fit, err := stats.LinearRegression(feats, ys)
 	if err != nil {

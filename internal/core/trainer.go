@@ -99,7 +99,7 @@ type Progress struct {
 // a Trainer is single-use.
 type Trainer struct {
 	dev  *device.Device
-	cfg  cpu.Config // model-core config (device's, defect switches cleared)
+	core *cpu.CPU // model core the fits replay programs on
 	opts TrainOptions
 	fp   uint64 // device fingerprint, the cache-key device component
 	lane int    // trace lane the phase/fit spans render on
@@ -124,11 +124,11 @@ func NewTrainer(dev *device.Device, opts TrainOptions) (*Trainer, error) {
 	}
 	cfg := dev.Options().CPU
 	cfg.BuggyMul = false
-	// Surface configuration errors here rather than from inside a worker.
-	if _, err := cpu.New(cfg); err != nil {
+	core, err := cpu.New(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return &Trainer{dev: dev, cfg: cfg, opts: opts, fp: dev.Fingerprint(), lane: obs.NextLane()}, nil
+	return &Trainer{dev: dev, core: core, opts: opts, fp: dev.Fingerprint(), lane: obs.NextLane()}, nil
 }
 
 // Train runs the full campaign and returns the fitted model. It is the
@@ -175,8 +175,8 @@ func (t *Trainer) Run(ctx context.Context) (*Model, error) {
 	}
 
 	// ---- Phase 0: kernel fit (§II-C / Figure 1) ----
-	_, err := t.runPhase(ctx, PhaseKernel, [][]uint32{allNOPProgram(64)}, func(raw []*rawMeasurement) error {
-		steady, err := steadyRegion(raw[0].y, t.dev.SamplesPerCycle(), 8)
+	_, err := t.runPhase(ctx, PhaseKernel, [][]uint32{allNOPProgram(64)}, func(ys [][]float64) error {
+		steady, err := steadyRegion(ys[0], t.dev.SamplesPerCycle(), 8)
 		if err != nil {
 			return err
 		}
@@ -206,8 +206,8 @@ func (t *Trainer) Run(ctx context.Context) (*Model, error) {
 		return nil, err
 	}
 	p1 = append(p1, comboWords)
-	raw1, err := t.runPhase(ctx, PhaseBaseline, p1, func(raw []*rawMeasurement) error {
-		meas, err := t.extract(raw)
+	ys1, err := t.runPhase(ctx, PhaseBaseline, p1, func(ys [][]float64) error {
+		meas, err := t.extract(p1, ys)
 		if err != nil {
 			return err
 		}
@@ -216,7 +216,7 @@ func (t *Trainer) Run(ctx context.Context) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	comboRaw := raw1[len(raw1)-1]
+	comboY := ys1[len(ys1)-1]
 
 	// ---- Phase 2: activity factors via stepwise regression (§III-B) ----
 	// Isolated random-operand probes, augmented with a mixed-instruction
@@ -234,8 +234,8 @@ func (t *Trainer) Run(ctx context.Context) (*Model, error) {
 		return nil, err
 	}
 	p2 = append(p2, mixWords)
-	_, err = t.runPhase(ctx, PhaseActivity, p2, func(raw []*rawMeasurement) error {
-		meas, err := t.extract(append(raw, comboRaw))
+	_, err = t.runPhase(ctx, PhaseActivity, p2, func(ys [][]float64) error {
+		meas, err := t.extract(append(p2, comboWords), append(ys, comboY))
 		if err != nil {
 			return err
 		}
@@ -263,8 +263,8 @@ func (t *Trainer) Run(ctx context.Context) (*Model, error) {
 		return nil, err
 	}
 	p3 = append(p3, combo3)
-	_, err = t.runPhase(ctx, PhaseMISO, p3, func(raw []*rawMeasurement) error {
-		meas, err := t.extract(raw)
+	_, err = t.runPhase(ctx, PhaseMISO, p3, func(ys [][]float64) error {
+		meas, err := t.extract(p3, ys)
 		if err != nil {
 			return err
 		}
@@ -286,15 +286,15 @@ func (t *Trainer) PhaseTimings() [NumPhases]time.Duration {
 }
 
 // runPhase drives one phase: announce it, fan the programs out across
-// the measurement workers, hand the index-ordered artifacts to fit, and
+// the measurement workers, hand the index-ordered captures to fit, and
 // record the phase timing.
-func (t *Trainer) runPhase(ctx context.Context, p Phase, programs [][]uint32, fit func([]*rawMeasurement) error) ([]*rawMeasurement, error) {
+func (t *Trainer) runPhase(ctx context.Context, p Phase, programs [][]uint32, fit func([][]float64) error) ([][]float64, error) {
 	t.beginPhase(p, len(programs))
 	obs.Begin(phaseSpans[p], t.lane)
-	raw, err := t.measureAll(ctx, p, programs)
+	ys, err := t.measureAll(ctx, p, programs)
 	if err == nil && fit != nil {
 		obs.Begin(spanFit, t.lane)
-		err = fit(raw)
+		err = fit(ys)
 		obs.End(spanFit, t.lane)
 	}
 	obs.End(phaseSpans[p], t.lane)
@@ -302,14 +302,13 @@ func (t *Trainer) runPhase(ctx context.Context, p Phase, programs [][]uint32, fi
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", p, err)
 	}
-	return raw, nil
+	return ys, nil
 }
 
-// trainWorker is one measurement replica: an independent device measurer
-// plus an independent model core for the aligned replay.
+// trainWorker is one measurement replica: an independent device
+// measurer. The fits replay programs on the Trainer's model core.
 type trainWorker struct {
 	meas *device.Measurer
-	core *cpu.CPU
 	lane int // trace lane this replica's measure spans render on
 }
 
@@ -318,57 +317,43 @@ func (t *Trainer) newWorker() (*trainWorker, error) {
 	if err != nil {
 		return nil, err
 	}
-	core, err := cpu.New(t.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &trainWorker{meas: meas, core: core, lane: obs.NextLane()}, nil
+	return &trainWorker{meas: meas, lane: obs.NextLane()}, nil
 }
 
-// measureOne produces the raw artifact for one program: the averaged
-// device capture and the model core's cycle-aligned trace, through the
-// measurement cache when one is attached.
-func (t *Trainer) measureOne(ctx context.Context, w *trainWorker, words []uint32) (*rawMeasurement, error) {
+// measureOne returns the averaged device capture of one program,
+// through the measurement cache when one is attached.
+func (t *Trainer) measureOne(ctx context.Context, w *trainWorker, words []uint32) ([]float64, error) {
 	obs.Begin(spanMeasure, w.lane)
 	defer obs.End(spanMeasure, w.lane)
 	key := measurementKey{device: t.fp, runs: t.opts.Runs, program: hashProgram(words)}
-	if r := t.opts.Cache.get(key); r != nil {
-		return r, nil
+	if y := t.opts.Cache.get(key); y != nil {
+		return y, nil
 	}
-	devTrace, y, err := w.meas.MeasureAveraged(ctx, words, t.opts.Runs)
+	y, err := w.meas.MeasureAveraged(ctx, words, t.opts.Runs)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := w.core.RunProgram(words)
-	if err != nil {
-		return nil, fmt.Errorf("model core failed: %w", err)
-	}
-	if len(tr) != len(devTrace) {
-		return nil, fmt.Errorf("model (%d cycles) and device (%d cycles) disagree on timing",
-			len(tr), len(devTrace))
-	}
-	r := &rawMeasurement{trace: tr, y: y}
-	t.opts.Cache.put(key, r)
-	return r, nil
+	t.opts.Cache.put(key, y)
+	return y, nil
 }
 
 // measureAll measures every program of one phase on par.Ordered and
-// returns the artifacts in program order, so completion order can never
+// returns the captures in program order, so completion order can never
 // leak into the fit and the lowest-index error wins.
 //
 //emsim:ordered
-func (t *Trainer) measureAll(ctx context.Context, phase Phase, programs [][]uint32) ([]*rawMeasurement, error) {
-	results := make([]*rawMeasurement, len(programs))
+func (t *Trainer) measureAll(ctx context.Context, phase Phase, programs [][]uint32) ([][]float64, error) {
+	results := make([][]float64, len(programs))
 	err := par.Ordered(ctx, len(programs), t.opts.Workers, t.newWorker,
-		func(ctx context.Context, w *trainWorker, i int) (*rawMeasurement, error) {
-			r, err := t.measureOne(ctx, w, programs[i])
+		func(ctx context.Context, w *trainWorker, i int) ([]float64, error) {
+			y, err := t.measureOne(ctx, w, programs[i])
 			if err == nil {
 				t.noteProgress(phase)
 			}
-			return r, err
+			return y, err
 		},
-		func(i int, r *rawMeasurement) error {
-			results[i] = r
+		func(i int, y []float64) error {
+			results[i] = y
 			return nil
 		})
 	if err != nil {
@@ -377,19 +362,44 @@ func (t *Trainer) measureAll(ctx context.Context, phase Phase, programs [][]uint
 	return results, nil
 }
 
-// extract turns raw artifacts into fit-ready measurements with the
-// phase-0 kernel. Extraction happens after the cache, which is what
-// keeps cache hits kernel-agnostic.
-func (t *Trainer) extract(raw []*rawMeasurement) ([]*measurement, error) {
-	out := make([]*measurement, len(raw))
-	for i, r := range raw {
-		amps, err := ExtractAmplitudes(r.y, t.dev.SamplesPerCycle(), t.kernel)
+// extract pairs each program with the amplitudes extracted from its
+// capture with the phase-0 kernel. Extraction happens after the cache,
+// which is what keeps cache hits kernel-agnostic.
+func (t *Trainer) extract(programs [][]uint32, ys [][]float64) ([]measurement, error) {
+	out := make([]measurement, len(ys))
+	for i, y := range ys {
+		amps, err := ExtractAmplitudes(y, t.dev.SamplesPerCycle(), t.kernel)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = &measurement{trace: r.trace, amps: amps}
+		out[i] = measurement{words: programs[i], amps: amps}
 	}
 	return out, nil
+}
+
+// replay runs each measurement's program on the model core and hands
+// every cycle, with the amplitude extracted for it, to visit:
+// measurement by measurement, cycle by cycle, the order the fits sum in.
+// The alignment holds only if the model and the device agree on the
+// cycle count, so a disagreement is an error.
+func replay(core *cpu.CPU, meas []measurement, visit func(c *cpu.Cycle, amp float64)) error {
+	for _, me := range meas {
+		n := 0
+		err := core.RunProgramTo(me.words, cpu.CycleSinkFunc(func(c *cpu.Cycle) error {
+			if n < len(me.amps) {
+				visit(c, me.amps[n])
+			}
+			n++
+			return nil
+		}))
+		if err != nil {
+			return fmt.Errorf("model core failed: %w", err)
+		}
+		if n != len(me.amps) {
+			return fmt.Errorf("model (%d cycles) and device (%d cycles) disagree on timing", n, len(me.amps))
+		}
+	}
+	return nil
 }
 
 func (t *Trainer) beginPhase(p Phase, total int) {

@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"emsim/internal/cpu"
 	"emsim/internal/device"
 )
 
@@ -218,6 +220,42 @@ func TestMeasurementCacheReuse(t *testing.T) {
 	devOpts.NoiseSeed++
 	if device.MustNew(device.DefaultOptions()).Fingerprint() == device.MustNew(devOpts).Fingerprint() {
 		t.Error("distinct device configurations share a fingerprint")
+	}
+}
+
+// TestReplayChecksTiming feeds replay amplitudes one cycle short of and
+// one cycle past the model core's run. Both must fail the timing check
+// (which also guards cache hits, as replay runs on every fit); an exact
+// match must hand every cycle to the fit once, in order, with its own
+// amplitude.
+func TestReplayChecksTiming(t *testing.T) {
+	core := cpu.MustNew(cpu.DefaultConfig())
+	words := allNOPProgram(16)
+	tr, err := core.RunProgram(words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(tr)
+	for _, cycles := range []int{n - 1, n + 1} {
+		meas := []measurement{{words: words, amps: make([]float64, cycles)}}
+		err := replay(core, meas, func(*cpu.Cycle, float64) {})
+		if err == nil || !strings.Contains(err.Error(), "disagree on timing") {
+			t.Errorf("%d amplitudes for a %d-cycle run: err = %v, want a timing disagreement", cycles, n, err)
+		}
+	}
+	amps := make([]float64, n)
+	for i := range amps {
+		amps[i] = float64(i)
+	}
+	visited := 0
+	err = replay(core, []measurement{{words: words, amps: amps}}, func(c *cpu.Cycle, amp float64) {
+		if c.N != visited || int(amp) != visited {
+			t.Errorf("visit %d: cycle %d with amplitude %v", visited, c.N, amp)
+		}
+		visited++
+	})
+	if err != nil || visited != n {
+		t.Fatalf("exact match: err = %v after %d of %d cycles", err, visited, n)
 	}
 }
 

@@ -95,9 +95,5 @@ func (c Config) validate() error {
 	if c.MaxCycles < 1 {
 		return fmt.Errorf("cpu: MaxCycles must be positive")
 	}
-	cfg := c.Cache
-	if _, err := mem.NewCache(cfg); err != nil {
-		return err
-	}
 	return nil
 }

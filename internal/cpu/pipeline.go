@@ -113,10 +113,14 @@ func New(cfg Config) (*CPU, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	cache, err := mem.NewCache(cfg.Cache)
+	if err != nil {
+		return nil, err
+	}
 	c := &CPU{
 		cfg:   cfg,
 		mem:   mem.NewMemory(),
-		cache: mem.MustNewCache(cfg.Cache),
+		cache: cache,
 		bp:    cfg.Predictor.build(),
 	}
 	c.resetPipeline()

@@ -639,15 +639,25 @@ func TestSetRegZeroIgnored(t *testing.T) {
 }
 
 func TestTraceHelpers(t *testing.T) {
-	_, tr := run(t, DefaultConfig(),
+	c, tr := run(t, DefaultConfig(),
 		isa.Lw(isa.T0, isa.Zero, 1024),
 		isa.Ebreak(),
 	)
-	if tr.Cycles() != len(tr) {
-		t.Error("Cycles() mismatch")
+	st := c.Stats()
+	if st.Cycles != len(tr) {
+		t.Errorf("Stats().Cycles = %d, trace has %d cycles", st.Cycles, len(tr))
 	}
-	if tr.StallCycles() == 0 {
+	if st.StallCycles == 0 {
 		t.Error("miss load should produce stall cycles")
+	}
+	stalled := 0
+	for i := range tr {
+		if tr[i].AnyStall {
+			stalled++
+		}
+	}
+	if st.StallCycles != stalled {
+		t.Errorf("Stats().StallCycles = %d, trace has %d stalled cycles", st.StallCycles, stalled)
 	}
 	if TotalFeatureBits() != 32*(2+3+3+2+2) {
 		t.Errorf("TotalFeatureBits = %d", TotalFeatureBits())

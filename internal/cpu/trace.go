@@ -144,17 +144,3 @@ type Cycle struct {
 
 // Trace is the per-cycle record of one complete program execution.
 type Trace []Cycle
-
-// Cycles returns the number of recorded cycles.
-func (t Trace) Cycles() int { return len(t) }
-
-// StallCycles counts cycles in which at least one stage was stalled.
-func (t Trace) StallCycles() int {
-	n := 0
-	for i := range t {
-		if t[i].AnyStall {
-			n++
-		}
-	}
-	return n
-}

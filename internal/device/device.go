@@ -128,17 +128,24 @@ func (d *Device) SamplesPerCycle() int { return d.opts.SamplesPerCycle }
 // Options returns the device configuration (hidden physics excluded).
 func (d *Device) Options() Options { return d.opts }
 
-// emit renders the ideal (noise-free) analog emission of a trace.
-func (d *Device) emit(tr cpu.Trace) []float64 {
-	x := make([]float64, len(tr))
-	for i := range tr {
-		x[i] = d.phys.cycleAmplitude(&tr[i], &d.beta)
+// emit runs the program once on core and renders the ideal
+// (noise-free) analog emission of that run from the cycles as the core
+// streams them. Reconstruction returns exactly SamplesPerCycle samples
+// per cycle, and stretchPerCycle keeps that length.
+func (d *Device) emit(ctx context.Context, core *cpu.CPU, words []uint32) ([]float64, error) {
+	var x []float64
+	err := core.RunProgramToContext(ctx, words, cpu.CycleSinkFunc(func(c *cpu.Cycle) error {
+		x = append(x, d.phys.cycleAmplitude(c, &d.beta))
+		return nil
+	}))
+	if err != nil {
+		return nil, fmt.Errorf("device: %w", err)
 	}
 	y := signal.MustReconstruct(x, d.opts.SamplesPerCycle, d.phys.kernel)
 	if d.opts.ClockPPM != 0 {
 		y = stretchPerCycle(y, d.opts.SamplesPerCycle, 1+d.opts.ClockPPM*1e-6)
 	}
-	return y
+	return y, nil
 }
 
 // stretchPerCycle emulates a clock-trimmed board under cycle-locked
@@ -176,42 +183,17 @@ func stretchPerCycle(y []float64, spc int, factor float64) []float64 {
 	return out
 }
 
-// Capture runs the program once and returns the core's trace plus one
-// noisy oscilloscope capture of the emission.
-func (d *Device) Capture(words []uint32) (cpu.Trace, []float64, error) {
-	tr, err := d.core.RunProgram(words)
-	if err != nil {
-		return nil, nil, fmt.Errorf("device: %w", err)
-	}
-	y := d.emit(tr)
-	out := make([]float64, len(y))
-	for i, v := range y {
-		out[i] = v + d.opts.NoiseStd*d.rng.NormFloat64()
-	}
-	return tr, out, nil
-}
-
 // MeasureAveraged emulates the paper's measurement procedure (§II-B): the
 // sequence is executed `runs` times (1000 in the paper) and the captures
 // are averaged sample by sample, yielding a low-noise reference
-// signal. Every run of a program is identical apart from its noise, so
-// the program is simulated once; that run's trace is returned for
-// alignment. This is the order-dependent variant: the noise comes from
-// the device's shared RNG, so the result depends on every capture made
-// before it (a Measurer's does not).
-func (d *Device) MeasureAveraged(words []uint32, runs int) (cpu.Trace, []float64, error) {
-	if runs < 1 {
-		return nil, nil, fmt.Errorf("device: need >= 1 run (got %d)", runs)
-	}
-	tr, err := d.core.RunProgram(words)
-	if err != nil {
-		return nil, nil, fmt.Errorf("device: %w", err)
-	}
-	acc, err := d.averageNoisy(context.Background(), d.emit(tr), runs, d.rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, acc, nil
+// signal. The capture holds exactly SamplesPerCycle samples per
+// executed cycle, so len(y)/SamplesPerCycle() is the program's cycle
+// count. One run is one noisy oscilloscope capture. This is the
+// order-dependent variant: the noise comes from the device's shared
+// RNG, so the result depends on every capture made before it (a
+// Measurer's does not).
+func (d *Device) MeasureAveraged(words []uint32, runs int) ([]float64, error) {
+	return d.measure(context.Background(), d.core, words, runs, d.rng)
 }
 
 // CPUStats exposes the device core's statistics for experiment reporting.
@@ -227,7 +209,6 @@ func (d *Device) CaptureSource(build func(input [16]byte) ([]uint32, error)) fun
 		if err != nil {
 			return nil, err
 		}
-		_, sig, err := d.Capture(words)
-		return sig, err
+		return d.MeasureAveraged(words, 1)
 	}
 }

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -90,11 +91,11 @@ func TestDeviceDeterministicEmission(t *testing.T) {
 	prog := nopProgram(t, 20)
 	d1 := MustNew(DefaultOptions())
 	d2 := MustNew(DefaultOptions())
-	_, y1, err := d1.MeasureAveraged(prog, 3)
+	y1, err := d1.MeasureAveraged(prog, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, y2, err := d2.MeasureAveraged(prog, 3)
+	y2, err := d2.MeasureAveraged(prog, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,19 +112,21 @@ func TestDeviceDeterministicEmission(t *testing.T) {
 func TestAveragingReducesNoise(t *testing.T) {
 	prog := nopProgram(t, 30)
 	dev1 := MustNew(DefaultOptions())
-	_, one, err := dev1.MeasureAveraged(prog, 1)
+	one, err := dev1.MeasureAveraged(prog, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dev2 := MustNew(DefaultOptions())
-	_, many, err := dev2.MeasureAveraged(prog, 200)
+	many, err := dev2.MeasureAveraged(prog, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reference: the noise-free emission.
 	ref := MustNew(DefaultOptions())
-	trc, _ := ref.core.RunProgram(prog)
-	ideal := ref.emit(trc)
+	ideal, err := ref.emit(context.Background(), ref.core, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	e1, err := signal.RMSE(one, ideal)
 	if err != nil {
@@ -195,7 +198,12 @@ func TestClusterSignaturesDiffer(t *testing.T) {
 			insts = append(insts, isa.Nop())
 		}
 		insts = append(insts, isa.Ebreak())
-		tr, y, err := d.Capture(words(t, insts...))
+		prog := words(t, insts...)
+		y, err := d.MeasureAveraged(prog, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := d.core.RunProgram(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,11 +250,11 @@ func TestProbeDistanceScalesAmplitude(t *testing.T) {
 	far := near
 	far.Probe = ProbePosition{X: 2, Height: 3}
 
-	_, yNear, err := MustNew(near).Capture(prog)
+	yNear, err := MustNew(near).MeasureAveraged(prog, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, yFar, err := MustNew(far).Capture(prog)
+	yFar, err := MustNew(far).MeasureAveraged(prog, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +278,11 @@ func TestClockPPMShiftsButPreservesShape(t *testing.T) {
 	a.NoiseStd = 0
 	b := a
 	b.ClockPPM = 200
-	_, ya, err := MustNew(a).Capture(prog)
+	ya, err := MustNew(a).MeasureAveraged(prog, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, yb, err := MustNew(b).Capture(prog)
+	yb, err := MustNew(b).MeasureAveraged(prog, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +314,8 @@ func TestBoardChangeChangesSignal(t *testing.T) {
 	a.NoiseStd = 0
 	b := a
 	b.TechSeed = 99
-	_, ya, _ := MustNew(a).Capture(prog)
-	_, yb, _ := MustNew(b).Capture(prog)
+	ya, _ := MustNew(a).MeasureAveraged(prog, 1)
+	yb, _ := MustNew(b).MeasureAveraged(prog, 1)
 	same := true
 	for i := range ya {
 		if math.Abs(ya[i]-yb[i]) > 1e-9 {
@@ -331,7 +339,7 @@ func TestDeviceOptionValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("negative noise accepted")
 	}
-	if _, _, err := MustNew(DefaultOptions()).MeasureAveraged(nopProgram(t, 1), 0); err == nil {
+	if _, err := MustNew(DefaultOptions()).MeasureAveraged(nopProgram(t, 1), 0); err == nil {
 		t.Error("0 runs accepted")
 	}
 }
@@ -357,14 +365,21 @@ func TestBuggyMulChangesEmissionOnly(t *testing.T) {
 	bad := good
 	bad.CPU.BuggyMul = true
 
-	trG, yG, err := MustNew(good).Capture(prog)
-	if err != nil {
-		t.Fatal(err)
+	// Each chip's own core provides the trace its capture emits.
+	capture := func(opts Options) (cpu.Trace, []float64) {
+		d := MustNew(opts)
+		y, err := d.MeasureAveraged(prog, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := d.core.RunProgram(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, y
 	}
-	trB, yB, err := MustNew(bad).Capture(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trG, yG := capture(good)
+	trB, yB := capture(bad)
 	if len(yG) != len(yB) {
 		t.Fatal("defect changed timing")
 	}
@@ -415,7 +430,7 @@ func BenchmarkDeviceCapture(b *testing.B) {
 	d := MustNew(DefaultOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := d.Capture(prog); err != nil {
+		if _, err := d.MeasureAveraged(prog, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

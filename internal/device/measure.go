@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the parallel-measurement surface of the synthetic bench.
-// A Device's Capture/MeasureAveraged draw noise from one shared RNG whose
+// A Device's MeasureAveraged draws noise from one shared RNG whose
 // state advances with every capture — faithful to a single oscilloscope,
 // but useless for a measurement fan-out, where the noise a program sees
 // would depend on which worker got there first. A Measurer is an
@@ -69,41 +69,35 @@ func (d *Device) NewMeasurer() (*Measurer, error) {
 	return &Measurer{d: d, core: core}, nil
 }
 
-// Device returns the device this replica measures.
-func (m *Measurer) Device() *Device { return m.d }
-
 // MeasureAveraged is the replica form of Device.MeasureAveraged: the
 // program is simulated and emitted once, then `runs` noisy captures of
-// that emission are averaged sample by sample. Unlike the Device method,
-// the noise comes from a stream seeded by (device noise seed, program
-// words), so the result is a pure function of (device configuration,
-// program, runs) — independent of measurement order and of every other
-// program measured. The context is checked before every noise pass,
-// bounding cancellation latency to one simulation plus one pass.
-func (m *Measurer) MeasureAveraged(ctx context.Context, words []uint32, runs int) (cpu.Trace, []float64, error) {
-	if runs < 1 {
-		return nil, nil, fmt.Errorf("device: need >= 1 run (got %d)", runs)
-	}
-	tr, err := m.core.RunProgram(words)
-	if err != nil {
-		return nil, nil, fmt.Errorf("device: %w", err)
-	}
+// that emission are averaged sample by sample. The capture holds
+// exactly SamplesPerCycle samples per executed cycle. Unlike the Device
+// method, the noise comes from a stream seeded by (device noise seed,
+// program words), so the result is a pure function of (device
+// configuration, program, runs) — independent of measurement order and
+// of every other program measured. The context cancels the simulation
+// and is checked before every noise pass.
+func (m *Measurer) MeasureAveraged(ctx context.Context, words []uint32, runs int) ([]float64, error) {
 	rng := rand.New(rand.NewSource(programNoiseSeed(m.d.opts.NoiseSeed, words)))
-	acc, err := m.d.averageNoisy(ctx, m.d.emit(tr), runs, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, acc, nil
+	return m.d.measure(ctx, m.core, words, runs, rng)
 }
 
-// averageNoisy is the averaging loop behind both MeasureAveraged
-// methods. cpu.RunProgram fully resets the core and memory, so every
-// averaging run of a program yields the same trace and the same clean
-// emission y; only the noise differs. The draws keep the order of a
-// per-run capture loop — run by run, sample by sample — so the mean is
-// bit-identical to re-simulating every run. ctx is checked before each
-// run.
-func (d *Device) averageNoisy(ctx context.Context, y []float64, runs int, rng *rand.Rand) ([]float64, error) {
+// measure is the procedure behind both MeasureAveraged methods.
+// cpu.RunProgramToContext fully resets the core and memory, so every
+// averaging run of a program yields the same cycles and the same clean
+// emission y; only the noise differs. The program is therefore run and
+// emitted once, and the draws keep the order of a per-run capture loop
+// — run by run, sample by sample — so the mean is bit-identical to
+// re-simulating every run.
+func (d *Device) measure(ctx context.Context, core *cpu.CPU, words []uint32, runs int, rng *rand.Rand) ([]float64, error) {
+	if runs < 1 {
+		return nil, fmt.Errorf("device: need >= 1 run (got %d)", runs)
+	}
+	y, err := d.emit(ctx, core, words)
+	if err != nil {
+		return nil, err
+	}
 	acc := make([]float64, len(y))
 	for r := 0; r < runs; r++ {
 		if err := ctx.Err(); err != nil {

@@ -115,7 +115,12 @@ func (e *Env) signature(p clusterProbe) ([]float64, error) {
 	b.I(isa.Ebreak())
 	words := b.MustAssemble().Words
 
-	tr, sig, err := e.Dev.MeasureAveraged(words, e.Runs)
+	sig, err := e.Dev.MeasureAveraged(words, e.Runs)
+	if err != nil {
+		return nil, err
+	}
+	// The device's configuration replays the run the capture came from.
+	tr, err := cpu.MustNew(e.Dev.Options().CPU).RunProgram(words)
 	if err != nil {
 		return nil, err
 	}

@@ -49,13 +49,13 @@ func (e *Env) Figure1() (*Figure1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, measured, err := e.Dev.MeasureAveraged(words, e.Runs)
+	measured, err := e.Dev.MeasureAveraged(words, e.Runs)
 	if err != nil {
 		return nil, err
 	}
 	// Steady all-NOP capture for kernel fitting.
 	nop := nopSandwich(64, 0)
-	_, nopSig, err := e.Dev.MeasureAveraged(nop, e.Runs)
+	nopSig, err := e.Dev.MeasureAveraged(nop, e.Runs)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +248,7 @@ type Figure4Result struct {
 func (e *Env) Figure4() (*Figure4Result, error) {
 	spc := e.Dev.SamplesPerCycle()
 	extract := func(words []uint32) ([]float64, error) {
-		_, sig, err := e.Dev.MeasureAveraged(words, e.Runs)
+		sig, err := e.Dev.MeasureAveraged(words, e.Runs)
 		if err != nil {
 			return nil, err
 		}

@@ -134,11 +134,11 @@ func (e *Env) TableII() (*TableIIResult, error) {
 	const perHalf, periods = 8, 16
 	spc := e.Dev.SamplesPerCycle()
 	runReal := func(words []uint32) ([]float64, int, error) {
-		tr, sig, err := e.Dev.MeasureAveraged(words, e.Runs)
+		sig, err := e.Dev.MeasureAveraged(words, e.Runs)
 		if err != nil {
 			return nil, 0, err
 		}
-		return sig, len(tr), nil
+		return sig, len(sig) / spc, nil
 	}
 	// All 36 simulated microbenchmarks stream through one reusable
 	// Session instead of allocating a core and trace per cell.

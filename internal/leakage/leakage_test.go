@@ -74,11 +74,12 @@ func measureSavat(t *testing.T, dev *device.Device, a, b SavatInst) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, sig, err := dev.MeasureAveraged(words, 10)
+	sig, err := dev.MeasureAveraged(words, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Savat(sig, dev.SamplesPerCycle(), len(tr), 16)
+	spc := dev.SamplesPerCycle()
+	v, err := Savat(sig, spc, len(sig)/spc, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

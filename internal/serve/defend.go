@@ -26,7 +26,8 @@ type defendRequest struct {
 	// "shuffle:window=16", "dummy:rate=0.2", "jitter:rate=0.1,region=64".
 	Defense string `json:"defense"`
 	Seed    int64  `json:"seed"`
-	// Workers overrides the server's per-campaign simulation fan-out.
+	// Workers overrides the server's per-campaign simulation fan-out;
+	// at most maxDefendWorkers.
 	Workers    int     `json:"workers"`
 	TVLATraces int     `json:"tvla_traces"`
 	CPATraces  int     `json:"cpa_traces"`
@@ -34,6 +35,11 @@ type defendRequest struct {
 	CPAPoints  int     `json:"cpa_points"`
 	NoiseStd   float64 `json:"noise_std"`
 }
+
+// maxDefendWorkers bounds a request's workers. The evaluator builds one
+// defended Session per worker, so the field sizes a job's memory and
+// goroutines; past the host's CPUs more workers only cost memory.
+const maxDefendWorkers = 64
 
 // defendStatus is the wire form of a job snapshot.
 type defendStatus struct {
@@ -117,6 +123,10 @@ func (s *Server) handleDefendSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Seed < 0 || req.Workers < 0 || req.TVLATraces < 0 || req.CPATraces < 0 ||
 		req.CPAStep < 0 || req.CPAPoints < 0 || req.NoiseStd < 0 {
 		writeError(w, http.StatusBadRequest, "campaign fields must be non-negative")
+		return
+	}
+	if req.Workers > maxDefendWorkers {
+		writeError(w, http.StatusBadRequest, "workers %d exceeds limit %d", req.Workers, maxDefendWorkers)
 		return
 	}
 	if req.TVLATraces > s.cfg.MaxDefendTraces || req.CPATraces > s.cfg.MaxDefendTraces {

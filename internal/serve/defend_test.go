@@ -114,6 +114,7 @@ func TestDefendValidation(t *testing.T) {
 		{Defense: "shuffle", Seed: -1},        // negative field
 		{Defense: "shuffle", CPATraces: 101},  // over the budget cap
 		{Defense: "shuffle", TVLATraces: 101}, // over the budget cap
+		{Defense: "shuffle", Workers: 65},     // over the worker cap
 		{Defense: "dummy:rate=2"},             // out-of-range parameter
 	}
 	for _, req := range cases {
