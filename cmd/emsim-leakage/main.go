@@ -24,7 +24,6 @@ import (
 
 	"emsim"
 	"emsim/internal/core"
-	"emsim/internal/device"
 	"emsim/internal/leakage"
 )
 
@@ -153,7 +152,6 @@ func report(label string, r *emsim.TVLAResult) {
 
 func runSavat(dev *emsim.Device, model *emsim.Model, aName, bName string,
 	matrix bool, perHalf, periods, runs int, doReal, doSim bool) {
-	events := []emsim.SavatInst{emsim.LDM, emsim.LDC, emsim.NOP, emsim.ADD, emsim.MUL, emsim.DIV}
 	spc := dev.SamplesPerCycle()
 
 	var sess *emsim.Session
@@ -164,30 +162,14 @@ func runSavat(dev *emsim.Device, model *emsim.Model, aName, bName string,
 		}
 	}
 
-	one := func(a, b emsim.SavatInst) (realV, simV float64) {
-		words, err := emsim.SavatProgram(a, b, perHalf, periods)
-		if err != nil {
-			fatal(err)
-		}
-		if doReal {
-			sig, err := dev.MeasureAveraged(words, runs)
-			if err != nil {
-				fatal(err)
-			}
-			if realV, err = emsim.Savat(sig, spc, len(sig)/spc, periods); err != nil {
-				fatal(err)
-			}
-		}
-		if doSim {
-			ssig, err := sess.SimulateProgram(words)
-			if err != nil {
-				fatal(err)
-			}
-			if simV, err = emsim.Savat(ssig, spc, sess.Cycles(), periods); err != nil {
-				fatal(err)
-			}
-		}
-		return realV, simV
+	// Each side runs a SAVAT program and returns its signal and cycles.
+	measure := func(words []uint32) ([]float64, int, error) {
+		sig, err := dev.MeasureAveraged(words, runs)
+		return sig, len(sig) / spc, err
+	}
+	simulate := func(words []uint32) ([]float64, int, error) {
+		sig, err := sess.SimulateProgram(words)
+		return sig, sess.Cycles(), err
 	}
 
 	if !matrix {
@@ -199,7 +181,28 @@ func runSavat(dev *emsim.Device, model *emsim.Model, aName, bName string,
 		if err != nil {
 			fatal(err)
 		}
-		realV, simV := one(a, b)
+		words, err := emsim.SavatProgram(a, b, perHalf, periods)
+		if err != nil {
+			fatal(err)
+		}
+		one := func(run func([]uint32) ([]float64, int, error)) float64 {
+			sig, cycles, err := run(words)
+			if err != nil {
+				fatal(err)
+			}
+			v, err := emsim.Savat(sig, spc, cycles, periods)
+			if err != nil {
+				fatal(err)
+			}
+			return v
+		}
+		var realV, simV float64
+		if doReal {
+			realV = one(measure)
+		}
+		if doSim {
+			simV = one(simulate)
+		}
 		fmt.Printf("SAVAT(%s, %s):", a, b)
 		if doReal {
 			fmt.Printf("  real %.4f", realV)
@@ -211,27 +214,31 @@ func runSavat(dev *emsim.Device, model *emsim.Model, aName, bName string,
 		return
 	}
 
-	printMatrix := func(label string, pick func(r, s float64) float64) {
+	// Each matrix runs every cell once, in row-major order.
+	printMatrix := func(label string, run func([]uint32) ([]float64, int, error)) {
+		m, err := leakage.SavatMatrix(run, spc, perHalf, periods)
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Printf("SAVAT matrix (%s):\n      ", label)
-		for _, e := range events {
-			fmt.Printf("%8s", e)
+		for a := range m {
+			fmt.Printf("%8s", emsim.SavatInst(a))
 		}
 		fmt.Println()
-		for _, a := range events {
-			fmt.Printf("%5s ", a)
-			for _, b := range events {
-				r, s := one(a, b)
-				fmt.Printf("%8.3f", pick(r, s))
+		for a, row := range m {
+			fmt.Printf("%5s ", emsim.SavatInst(a))
+			for _, v := range row {
+				fmt.Printf("%8.3f", v)
 			}
 			fmt.Println()
 		}
 		fmt.Println()
 	}
 	if doReal {
-		printMatrix("real measurements", func(r, _ float64) float64 { return r })
+		printMatrix("real measurements", measure)
 	}
 	if doSim {
-		printMatrix("simulated", func(_, s float64) float64 { return s })
+		printMatrix("simulated", simulate)
 	}
 }
 
@@ -257,9 +264,3 @@ func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "emsim-leakage:", err)
 	os.Exit(1)
 }
-
-// Interface assertions: the CLI drives exactly the public leakage surface.
-var (
-	_ = leakage.SavatMatrix
-	_ = device.DefaultOptions
-)

@@ -342,6 +342,42 @@ func commentGroupHasDirective(doc *ast.CommentGroup, directive string) bool {
 	return false
 }
 
+// ResolveCallee returns the function a call's Fun expression names
+// statically. For a call it cannot resolve statically it returns what the
+// call goes through instead ("function value f", "interface method M",
+// ...); for anything else, neither.
+func ResolveCallee(info *types.Info, fun ast.Expr) (fn *types.Func, dynamic string) {
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		switch obj := info.Uses[fun].(type) {
+		case *types.Func:
+			return obj, ""
+		case *types.Var:
+			return nil, "function value " + fun.Name
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if types.IsInterface(sel.Recv()) {
+				return nil, "interface method " + fun.Sel.Name
+			}
+			if f, ok := sel.Obj().(*types.Func); ok {
+				return f, ""
+			}
+			return nil, "function-typed field " + fun.Sel.Name
+		}
+		// Package-qualified reference.
+		switch obj := info.Uses[fun.Sel].(type) {
+		case *types.Func:
+			return obj, ""
+		case *types.Var:
+			return nil, "function variable " + fun.Sel.Name
+		}
+	case *ast.IndexExpr: // generic instantiation F[T](...)
+		return ResolveCallee(info, fun.X)
+	}
+	return nil, ""
+}
+
 // ModuleInfo holds facts collected from every package in the module
 // before analysis runs, keyed so they survive the package-at-a-time
 // type-checking model (imported packages come from export data, which

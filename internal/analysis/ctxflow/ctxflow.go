@@ -112,7 +112,7 @@ func (c *checker) checkParams(fd *ast.FuncDecl) {
 
 // checkBackground flags context.Background and context.TODO calls.
 func (c *checker) checkBackground(call *ast.CallExpr) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
@@ -137,13 +137,13 @@ func (c *checker) checkGo(stmt *ast.GoStmt) {
 		}
 	}
 
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
 		if hasLifecycle(info, fun.Body) {
 			return
 		}
 	default:
-		if fn, _ := resolveCallee(info, unparen(call.Fun)); fn != nil {
+		if fn, _ := resolveCallee(info, ast.Unparen(call.Fun)); fn != nil {
 			if decl, ok := c.decls[fn]; ok && decl.Body != nil {
 				if hasLifecycle(info, decl.Body) {
 					return
@@ -219,14 +219,4 @@ func resolveCallee(info *types.Info, fun ast.Expr) (*types.Func, bool) {
 		return resolveCallee(info, fun.X)
 	}
 	return nil, false
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

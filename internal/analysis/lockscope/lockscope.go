@@ -243,7 +243,7 @@ func collectEvents(pass *analysis.Pass, body *ast.BlockStmt) []event {
 // none, for calls known to be safe under a lock).
 func classifyCall(pass *analysis.Pass, call *ast.CallExpr, deferred bool) []event {
 	info := pass.TypesInfo
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 
 	if tv, ok := info.Types[fun]; ok && tv.IsType() {
 		return nil // conversion
@@ -342,14 +342,4 @@ func hasDefault(sel *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -104,7 +104,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) []*ast.FuncDecl {
 	calleeExprs := map[ast.Expr]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			calleeExprs[unparen(call.Fun)] = true
+			calleeExprs[ast.Unparen(call.Fun)] = true
 		}
 		return true
 	})
@@ -166,7 +166,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) []*ast.FuncDecl {
 // declarations to check transitively.
 func (c *checker) checkCall(fd *ast.FuncDecl, recvObj types.Object, call *ast.CallExpr) []*ast.FuncDecl {
 	info := c.pass.TypesInfo
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 
 	// Conversion, not a call.
 	if tv, ok := info.Types[fun]; ok && tv.IsType() {
@@ -182,9 +182,9 @@ func (c *checker) checkCall(fd *ast.FuncDecl, recvObj types.Object, call *ast.Ca
 		}
 	}
 
-	fn, dynamic := resolveCallee(info, fun)
+	fn, dynamic := analysis.ResolveCallee(info, fun)
 	if dynamic != "" {
-		c.pass.Reportf(call.Pos(), "%s in noalloc function %s cannot be verified allocation-free", dynamic, fd.Name.Name)
+		c.pass.Reportf(call.Pos(), "call through %s in noalloc function %s cannot be verified allocation-free", dynamic, fd.Name.Name)
 		return nil
 	}
 	if fn == nil {
@@ -319,41 +319,6 @@ func (c *checker) checkIfaceConv(fd *ast.FuncDecl, dst types.Type, expr ast.Expr
 		context, tv.Type.String(), fd.Name.Name)
 }
 
-// resolveCallee returns the static callee, or a description of why the
-// call is dynamic.
-func resolveCallee(info *types.Info, fun ast.Expr) (fn *types.Func, dynamic string) {
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		switch obj := info.Uses[fun].(type) {
-		case *types.Func:
-			return obj, ""
-		case *types.Var:
-			return nil, "call through function value " + fun.Name
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if types.IsInterface(sel.Recv()) {
-				return nil, "call through interface method " + fun.Sel.Name
-			}
-			if f, ok := sel.Obj().(*types.Func); ok {
-				return f, ""
-			}
-			return nil, "call through function-typed field " + fun.Sel.Name
-		}
-		// Package-qualified reference.
-		switch obj := info.Uses[fun.Sel].(type) {
-		case *types.Func:
-			return obj, ""
-		case *types.Var:
-			return nil, "call through function variable " + fun.Sel.Name
-		}
-	case *ast.IndexExpr:
-		// Generic instantiation F[T](...).
-		return resolveCallee(info, fun.X)
-	}
-	return nil, ""
-}
-
 // calleeIdent unwraps fun to its identifier, if it has one.
 func calleeIdent(fun ast.Expr) (*ast.Ident, bool) {
 	id, ok := fun.(*ast.Ident)
@@ -367,7 +332,7 @@ func isReceiverOwned(info *types.Info, expr ast.Expr, recvObj types.Object) bool
 		return false
 	}
 	for {
-		switch e := unparen(expr).(type) {
+		switch e := ast.Unparen(expr).(type) {
 		case *ast.Ident:
 			return info.Uses[e] == recvObj || info.Defs[e] == recvObj
 		case *ast.SelectorExpr:
@@ -408,14 +373,4 @@ func isString(t types.Type) bool {
 
 func isModulePath(path string) bool {
 	return path == "emsim" || strings.HasPrefix(path, "emsim/")
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -165,7 +165,7 @@ func (c *checker) propagate() {
 					}
 				}
 			case *ast.CallExpr:
-				if id, ok := unparen(n.Fun).(*ast.Ident); ok && len(n.Args) == 2 {
+				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) == 2 {
 					if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "copy" {
 						if c.taintedExpr(n.Args[1]) {
 							taint(n.Args[0])
@@ -229,7 +229,7 @@ func (c *checker) check() {
 func (c *checker) checkCall(call *ast.CallExpr) {
 	info := c.pass.TypesInfo
 	name := c.fd.Name.Name
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 
 	if tv, ok := info.Types[fun]; ok && tv.IsType() {
 		return // conversion, not a call
@@ -256,7 +256,7 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 		return
 	}
 
-	fn, dynamic := resolveCallee(info, fun)
+	fn, dynamic := analysis.ResolveCallee(info, fun)
 	if dynamic != "" {
 		c.pass.Reportf(call.Pos(), "secret data passed through dynamic call (%s) in ct function %s", dynamic, name)
 		return
@@ -323,10 +323,10 @@ func (c *checker) taintedExpr(e ast.Expr) bool {
 			}
 		}
 	case *ast.CallExpr:
-		if tv, ok := info.Types[unparen(e.Fun)]; ok && tv.IsType() {
+		if tv, ok := info.Types[ast.Unparen(e.Fun)]; ok && tv.IsType() {
 			return len(e.Args) == 1 && c.taintedExpr(e.Args[0]) // conversion
 		}
-		if id, ok := unparen(e.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
 			if b, ok := info.Uses[id].(*types.Builtin); ok {
 				switch b.Name() {
 				case "len", "cap", "make", "new":
@@ -339,7 +339,7 @@ func (c *checker) taintedExpr(e ast.Expr) bool {
 				return true
 			}
 		}
-		if sel, ok := unparen(e.Fun).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
 			if _, isSel := info.Selections[sel]; isSel {
 				return c.taintedExpr(sel.X)
 			}
@@ -375,7 +375,7 @@ func (c *checker) isSecretField(sel *types.Selection) bool {
 func (c *checker) baseObject(e ast.Expr) types.Object {
 	info := c.pass.TypesInfo
 	for {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
 			if x.Name == "_" {
 				return nil
@@ -428,47 +428,4 @@ func indexable(t types.Type) bool {
 		return u.Info()&types.IsString != 0
 	}
 	return false
-}
-
-// resolveCallee returns the static callee, or a description of why the
-// call is dynamic.
-func resolveCallee(info *types.Info, fun ast.Expr) (fn *types.Func, dynamic string) {
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		switch obj := info.Uses[fun].(type) {
-		case *types.Func:
-			return obj, ""
-		case *types.Var:
-			return nil, "function value " + fun.Name
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if types.IsInterface(sel.Recv()) {
-				return nil, "interface method " + fun.Sel.Name
-			}
-			if f, ok := sel.Obj().(*types.Func); ok {
-				return f, ""
-			}
-			return nil, "function-typed field " + fun.Sel.Name
-		}
-		switch obj := info.Uses[fun.Sel].(type) {
-		case *types.Func:
-			return obj, ""
-		case *types.Var:
-			return nil, "function variable " + fun.Sel.Name
-		}
-	case *ast.IndexExpr:
-		return resolveCallee(info, fun.X)
-	}
-	return nil, ""
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -282,25 +282,78 @@ func TestAssembleSpaceDirective(t *testing.T) {
 }
 
 func TestAssembleErrors(t *testing.T) {
-	cases := map[string]string{
-		"unknown mnemonic":  "frobnicate t0, t1",
-		"bad register":      "add t0, q9, t1",
-		"operand count":     "add t0, t1",
-		"bad immediate":     "addi t0, t1, banana",
-		"undefined label":   "j nowhere\nebreak",
-		"bad directive":     ".bogus 1",
-		"bad mem operand":   "lw t0, t1",
-		"org needs value":   ".org",
-		"word needs value":  ".word",
-		"space needs count": ".space",
-		"space past cap":    fmt.Sprintf(".space %d", maxImageBytes+1),
-		"empty label":       "  : nop",
-		"branch label":      "beq t0, t1, 5oops",
-		"duplicate label":   "a:\na:\nnop",
+	cases := []struct {
+		name, src string
+		line      int // the line the error must name
+	}{
+		{"unknown mnemonic", "frobnicate t0, t1", 1},
+		{"bad register", "add t0, q9, t1", 1},
+		{"operand count", "add t0, t1", 1},
+		{"bad immediate", "addi t0, t1, banana", 1},
+		{"undefined label", "j nowhere\nebreak", 1},
+		{"bad directive", ".bogus 1", 1},
+		{"bad mem operand", "lw t0, t1", 1},
+		{"org needs value", ".org", 1},
+		{"word needs value", ".word", 1},
+		{"space needs count", ".space", 1},
+		{"space past cap", fmt.Sprintf(".space %d", maxImageBytes+1), 1},
+		{"empty label", "  : nop", 1},
+		{"branch label", "beq t0, t1, 5oops", 1},
+		{"duplicate label", "a:\na:\nnop", 2},
+		{"empty lo label", "lw t0, %lo()(sp)", 1},
+		{"la number", "la a0, 5", 1},
+		{"jump label", "j 5oops", 1},
+		// A bad destination register is an error, not x0.
+		{"neg bad rd", "neg bogus, t1", 1},
+		{"not bad rd", "not q9, t0", 1},
+		{"seqz bad rd", "seqz q9, t0", 1},
+		{"snez bad rd", "snez q9, t0", 1},
+		// A number that does not fit in 32 bits is an error, not its low
+		// 32 bits.
+		{"wide immediate", "addi t0, zero, 4294967297", 1},
+		{"wide offset", "lw t0, 4294967296(sp)", 1},
+		{"wide branch offset", "beq t0, t1, 4294967304", 1},
+		{"wide word", ".word 0x1ffffffff", 1},
+		{"wide origin", ".org 0x100000000", 1},
+		{"wide li", "li t0, -2147483649", 1},
+		// Encode errors of parsed instructions name their line.
+		{"I-type encode", "nop\naddi t0, t1, 99999", 2},
+		{"shift encode", "nop\nnop\nslli t0, t0, 32", 3},
+		{"load encode", "nop\nlw t0, 5000(sp)", 2},
+		{"branch encode", "x: nop\n.space 8192\nbeq t0, t1, x", 3},
 	}
-	for name, src := range cases {
-		if _, err := Assemble(src); err == nil {
-			t.Errorf("%s: assembled %q without error", name, src)
+	for _, tc := range cases {
+		_, err := Assemble(tc.src)
+		if err == nil {
+			t.Errorf("%s: assembled %q without error", tc.name, tc.src)
+			continue
+		}
+		if want := fmt.Sprintf("asm: line %d: ", tc.line); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: error %q does not start with %q", tc.name, err, want)
+		}
+	}
+}
+
+// TestAssembleNumbers pins the 32-bit number rule: any number from -2³¹
+// to 2³²-1 assembles as its low 32 bits.
+func TestAssembleNumbers(t *testing.T) {
+	cases := []struct{ src, same string }{
+		{"li t0, 0xFFFFFFFF", "addi t0, zero, -1"},
+		{"li t0, 4294967295", "li t0, -1"},
+		{"li t0, -2147483648", "li t0, 0x80000000"},
+		{".word 0xFFFFFFFF", ".word -1"},
+		{"lui t0, 0xfffff", "lui t0, 1048575"},
+		{"beq t0, t1, 0x10", "beq t0, t1, 16"},
+	}
+	for _, tc := range cases {
+		p, err := Assemble(tc.src)
+		if err != nil {
+			t.Errorf("%q: %v", tc.src, err)
+			continue
+		}
+		want := MustAssembleText(tc.same)
+		if fmt.Sprint(p.Words) != fmt.Sprint(want.Words) {
+			t.Errorf("%q = %#x, want %#x as for %q", tc.src, p.Words, want.Words, tc.same)
 		}
 	}
 }

@@ -15,12 +15,11 @@ import (
 type fixupKind int
 
 const (
-	fixNone   fixupKind = iota
-	fixBranch           // PC-relative B-type offset
-	fixJump             // PC-relative J-type offset
-	fixHi               // %hi(label) for LUI (with low-part rounding)
-	fixLo               // %lo(label) for ADDI/load/store offsets
-	fixAbs              // absolute address into a .word
+	fixNone fixupKind = iota
+	fixPC             // PC-relative branch or jump offset
+	fixHi             // %hi(label) for LUI (with low-part rounding)
+	fixLo             // %lo(label) for ADDI/load/store offsets
+	fixAbs            // absolute address into a .word
 )
 
 type item struct {
@@ -29,7 +28,7 @@ type item struct {
 	word  uint32 // data value when data is true
 	fix   fixupKind
 	label string
-	line  int // 1-based source line for diagnostics (0 for Builder items)
+	line  int // 1-based source line for diagnostics (0 outside Assemble)
 }
 
 // Program is an assembled binary image.
@@ -53,6 +52,7 @@ type Builder struct {
 	items  []item
 	labels map[string]int // label -> item index it precedes
 	errs   []error
+	line   int // source line the text parser is reading; 0 for Go callers
 }
 
 // NewBuilder returns an empty Builder with origin 0.
@@ -64,10 +64,10 @@ func NewBuilder() *Builder {
 // instruction is added and must be word-aligned.
 func (b *Builder) SetOrigin(addr uint32) *Builder {
 	if len(b.items) > 0 {
-		b.errs = append(b.errs, fmt.Errorf("asm: SetOrigin after code was added"))
+		b.fail("SetOrigin after code was added")
 	}
 	if addr%4 != 0 {
-		b.errs = append(b.errs, fmt.Errorf("asm: origin %#x not word-aligned", addr))
+		b.fail("origin %#x not word-aligned", addr)
 	}
 	b.origin = addr
 	return b
@@ -76,12 +76,10 @@ func (b *Builder) SetOrigin(addr uint32) *Builder {
 // Label defines a label at the current position.
 func (b *Builder) Label(name string) *Builder {
 	if name == "" {
-		b.errs = append(b.errs, fmt.Errorf("asm: empty label"))
-		return b
+		return b.fail("empty label")
 	}
 	if _, dup := b.labels[name]; dup {
-		b.errs = append(b.errs, fmt.Errorf("asm: duplicate label %q", name))
-		return b
+		return b.fail("duplicate label %q", name)
 	}
 	b.labels[name] = len(b.items)
 	return b
@@ -90,7 +88,7 @@ func (b *Builder) Label(name string) *Builder {
 // I appends one or more concrete instructions.
 func (b *Builder) I(insts ...isa.Inst) *Builder {
 	for _, in := range insts {
-		b.items = append(b.items, item{inst: in})
+		b.add(item{inst: in})
 	}
 	return b
 }
@@ -106,45 +104,27 @@ func (b *Builder) Nop(n int) *Builder {
 // Branch appends a conditional branch to a label.
 func (b *Builder) Branch(op isa.Op, rs1, rs2 isa.Reg, label string) *Builder {
 	if !op.IsBranch() {
-		b.errs = append(b.errs, fmt.Errorf("asm: Branch with non-branch op %v", op))
-		return b
+		return b.fail("Branch with non-branch op %v", op)
 	}
-	b.items = append(b.items, item{
-		inst:  isa.Inst{Op: op, Rs1: rs1, Rs2: rs2},
-		fix:   fixBranch,
-		label: label,
-	})
-	return b
+	return b.fixup(isa.Inst{Op: op, Rs1: rs1, Rs2: rs2}, fixPC, label)
 }
 
 // Jal appends a jump-and-link to a label.
 func (b *Builder) Jal(rd isa.Reg, label string) *Builder {
-	b.items = append(b.items, item{
-		inst:  isa.Inst{Op: isa.JAL, Rd: rd},
-		fix:   fixJump,
-		label: label,
-	})
-	return b
+	return b.fixup(isa.Jal(rd, 0), fixPC, label)
 }
 
 // La appends the two-instruction absolute-address materialization
 // (lui+addi) for a label.
 func (b *Builder) La(rd isa.Reg, label string) *Builder {
-	b.items = append(b.items,
-		item{inst: isa.Inst{Op: isa.LUI, Rd: rd}, fix: fixHi, label: label},
-		item{inst: isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: rd}, fix: fixLo, label: label},
-	)
-	return b
+	return b.fixup(isa.Lui(rd, 0), fixHi, label).fixup(isa.Addi(rd, rd, 0), fixLo, label)
 }
 
 // Li appends the shortest load-immediate sequence for v.
 func (b *Builder) Li(rd isa.Reg, v int32) *Builder { return b.I(isa.Li(rd, v)...) }
 
 // Word appends a raw data word.
-func (b *Builder) Word(v uint32) *Builder {
-	b.items = append(b.items, item{data: true, word: v})
-	return b
-}
+func (b *Builder) Word(v uint32) *Builder { return b.add(item{data: true, word: v}) }
 
 // Words appends raw data words.
 func (b *Builder) Words(vs ...uint32) *Builder {
@@ -156,12 +136,39 @@ func (b *Builder) Words(vs ...uint32) *Builder {
 
 // WordAddr appends a data word holding a label's absolute address.
 func (b *Builder) WordAddr(label string) *Builder {
-	b.items = append(b.items, item{data: true, fix: fixAbs, label: label})
-	return b
+	return b.add(item{data: true, fix: fixAbs, label: label})
 }
 
 // Len returns the current image length in words.
 func (b *Builder) Len() int { return len(b.items) }
+
+// add appends it, stamped with the current source line.
+func (b *Builder) add(it item) *Builder {
+	it.line = b.line
+	b.items = append(b.items, it)
+	return b
+}
+
+// fixup appends in, to be patched by kind with label's address at
+// Assemble time; kind fixNone appends in as it is.
+func (b *Builder) fixup(in isa.Inst, kind fixupKind, label string) *Builder {
+	return b.add(item{inst: in, fix: kind, label: label})
+}
+
+// fail records an error at the current source line; Assemble reports
+// the first.
+func (b *Builder) fail(format string, args ...any) *Builder {
+	b.errs = append(b.errs, errorf(b.line, format, args...))
+	return b
+}
+
+// errorf formats an assembler error, naming the source line if known.
+func errorf(line int, format string, args ...any) error {
+	if line > 0 {
+		format, args = "line %d: "+format, append([]any{line}, args...)
+	}
+	return fmt.Errorf("asm: "+format, args...)
+}
 
 // hiLo splits an absolute address into the LUI/ADDI pair used by la: the
 // high part is rounded so the sign-extended low part recombines exactly.
@@ -186,17 +193,15 @@ func (b *Builder) Assemble() (*Program, error) {
 		if it.fix != fixNone {
 			target, ok := symbols[it.label]
 			if !ok {
-				return nil, fmt.Errorf("asm: undefined label %q%s", it.label, lineRef(it.line))
+				return nil, errorf(it.line, "undefined label %q", it.label)
 			}
 			switch it.fix {
-			case fixBranch, fixJump:
+			case fixPC:
 				it.inst.Imm = int32(target) - int32(addr)
 			case fixHi:
-				hi, _ := hiLo(target)
-				it.inst.Imm = hi
+				it.inst.Imm, _ = hiLo(target)
 			case fixLo:
-				_, lo := hiLo(target)
-				it.inst.Imm = lo
+				_, it.inst.Imm = hiLo(target)
 			case fixAbs:
 				it.word = target
 			}
@@ -207,7 +212,7 @@ func (b *Builder) Assemble() (*Program, error) {
 		}
 		w, err := isa.Encode(it.inst)
 		if err != nil {
-			return nil, fmt.Errorf("asm: at %#x%s: %w", addr, lineRef(it.line), err)
+			return nil, errorf(it.line, "at %#x: %w", addr, err)
 		}
 		words[i] = w
 	}
@@ -221,11 +226,4 @@ func (b *Builder) MustAssemble() *Program {
 		panic(err)
 	}
 	return p
-}
-
-func lineRef(line int) string {
-	if line == 0 {
-		return ""
-	}
-	return fmt.Sprintf(" (line %d)", line)
 }

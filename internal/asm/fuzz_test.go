@@ -67,6 +67,19 @@ func FuzzAsmRoundTrip(f *testing.F) {
 		".space -1\n",
 		"addi t0, t1, 99999999\n",
 		": empty\n",
+		// Inputs that once assembled to a different program: a bad
+		// destination register became x0, and a number wider than 32
+		// bits was cut to its low 32 bits.
+		"neg bogus, t1\n",
+		"not q9, t0\n",
+		"seqz q9, t0\nsnez q9, t0\n",
+		"addi t0, zero, 4294967297\n",
+		"lw t0, 4294967296(sp)\n",
+		"beq t0, t1, 4294967304\n",
+		".word 0x1ffffffff\n",
+		".org 0x100000000\n",
+		"la a0, 5\n",
+		"j 5oops\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

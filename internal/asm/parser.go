@@ -1,7 +1,9 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -14,42 +16,40 @@ import (
 //   - one instruction, label ("name:") or directive per line
 //   - comments with '#' or "//"
 //   - registers by number (x0..x31) or ABI name (zero, ra, sp, t0, a0, ...)
-//   - immediates in decimal or 0x hex, %hi(label) / %lo(label)
-//   - memory operands as "offset(reg)"
+//   - numbers in decimal or 0x hex; every number must fit in 32 bits,
+//     signed or unsigned (-2³¹ … 2³²-1), and is taken as its low 32 bits
+//   - %hi(label) as a lui/auipc immediate, %lo(label) as an I-type
+//     immediate or a load/store offset
+//   - memory operands as "offset(reg)" or "(reg)"
 //   - branch/jump targets as labels or numeric offsets
-//   - directives: .org ADDR (before code), .word v[, v...], .space BYTES
-//     (a reservation may not grow the image past 1 MiB)
+//   - directives: .org ADDR (before code), .word v[, v...] (numbers or
+//     labels), .space/.zero BYTES (a reservation may not grow the image
+//     past 1 MiB), .align (a no-op: images are always word-aligned)
 //   - pseudo-instructions: nop, li, la, mv, not, neg, seqz, snez, j, jr,
 //     ret, call, beqz, bnez, bltz, bgez, bgtz, blez, bgt, ble, bgtu, bleu
+//
+// The text is read one statement at a time into the same Builder calls a
+// Go program would make; every error names its source line.
 func Assemble(src string) (*Program, error) {
 	b := NewBuilder()
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		// Leading label(s).
-		for {
+	for i, raw := range strings.Split(src, "\n") {
+		b.line = i + 1
+		line := strings.TrimSpace(stripComment(raw))
+		for { // leading labels
 			idx := strings.Index(line, ":")
 			if idx < 0 || strings.ContainsAny(line[:idx], " \t,()") {
 				break
 			}
-			label := strings.TrimSpace(line[:idx])
-			if label == "" {
-				return nil, fmt.Errorf("asm: line %d: empty label", lineNo+1)
-			}
-			b.Label(label)
+			b.Label(strings.TrimSpace(line[:idx]))
 			line = strings.TrimSpace(line[idx+1:])
-			if line == "" {
-				break
+		}
+		if line != "" {
+			if err := statement(b, line); err != nil {
+				return nil, err
 			}
 		}
-		if line == "" {
-			continue
-		}
-		if err := parseStatement(b, line, lineNo+1); err != nil {
-			return nil, err
+		if len(b.errs) > 0 {
+			return nil, b.errs[0]
 		}
 	}
 	return b.Assemble()
@@ -74,82 +74,11 @@ func stripComment(line string) string {
 	return line
 }
 
-func parseStatement(b *Builder, line string, lineNo int) error {
-	fields := strings.SplitN(line, " ", 2)
-	mnemonic := strings.ToLower(strings.TrimSpace(fields[0]))
-	var rest string
-	if len(fields) > 1 {
-		rest = strings.TrimSpace(fields[1])
-	}
-	var args []string
-	if rest != "" {
-		for _, a := range strings.Split(rest, ",") {
-			args = append(args, strings.TrimSpace(a))
-		}
-	}
-	errf := func(format string, a ...any) error {
-		return fmt.Errorf("asm: line %d: "+format, append([]any{lineNo}, a...)...)
-	}
-
-	if strings.HasPrefix(mnemonic, ".") {
-		return parseDirective(b, mnemonic, args, errf)
-	}
-	return parseInstruction(b, mnemonic, args, lineNo, errf)
-}
-
 // maxImageBytes caps the image a .space or .zero reservation may grow.
 // Each reserved word is stored as its own pending item until Assemble,
 // so without the cap a short source line could allocate without bound.
 // 1 MiB is far above any program the simulator runs.
 const maxImageBytes = 1 << 20
-
-func parseDirective(b *Builder, dir string, args []string, errf func(string, ...any) error) error {
-	switch dir {
-	case ".org":
-		if len(args) != 1 {
-			return errf(".org wants one address")
-		}
-		v, err := parseImm(args[0])
-		if err != nil {
-			return errf(".org: %v", err)
-		}
-		b.SetOrigin(uint32(v))
-		return nil
-	case ".word":
-		if len(args) == 0 {
-			return errf(".word wants at least one value")
-		}
-		for _, a := range args {
-			if v, err := parseImm(a); err == nil {
-				b.Word(uint32(v))
-			} else if isIdent(a) {
-				b.WordAddr(a)
-			} else {
-				return errf(".word: bad value %q", a)
-			}
-		}
-		return nil
-	case ".space", ".zero":
-		if len(args) != 1 {
-			return errf("%s wants a byte count", dir)
-		}
-		n, err := parseImm(args[0])
-		if err != nil || n < 0 {
-			return errf("%s: bad count %q", dir, args[0])
-		}
-		if n > maxImageBytes-4*int64(b.Len()) {
-			return errf("%s: %d bytes would grow the image past %d bytes", dir, n, maxImageBytes)
-		}
-		for i := int64(0); i < (n+3)/4; i++ {
-			b.Word(0)
-		}
-		return nil
-	case ".align":
-		return nil // images are always word-aligned
-	default:
-		return errf("unknown directive %q", dir)
-	}
-}
 
 var opByName = func() map[string]isa.Op {
 	m := make(map[string]isa.Op, isa.NumOps)
@@ -159,409 +88,284 @@ var opByName = func() map[string]isa.Op {
 	return m
 }()
 
-func parseInstruction(b *Builder, mnemonic string, args []string, lineNo int, errf func(string, ...any) error) error {
-	nargs := func(n int) error {
-		if len(args) != n {
-			return errf("%s wants %d operands, got %d", mnemonic, n, len(args))
-		}
-		return nil
-	}
-	reg := func(i int) (isa.Reg, error) {
-		r, ok := regByName(args[i])
-		if !ok {
-			return 0, errf("%s: bad register %q", mnemonic, args[i])
-		}
-		return r, nil
-	}
-	addItem := func(it item) {
-		it.line = lineNo
-		b.items = append(b.items, it)
-	}
+// unary are the "op rd, rs" pseudo-instructions.
+var unary = map[string]func(rd, rs isa.Reg) isa.Inst{
+	"mv":   isa.Mv,
+	"not":  func(rd, rs isa.Reg) isa.Inst { return isa.Xori(rd, rs, -1) },
+	"neg":  func(rd, rs isa.Reg) isa.Inst { return isa.Sub(rd, isa.Zero, rs) },
+	"seqz": func(rd, rs isa.Reg) isa.Inst { return isa.Sltiu(rd, rs, 1) },
+	"snez": func(rd, rs isa.Reg) isa.Inst { return isa.Sltu(rd, isa.Zero, rs) },
+}
 
-	// Pseudo-instructions first.
-	switch mnemonic {
-	case "nop":
-		if err := nargs(0); err != nil {
-			return err
-		}
-		b.I(isa.Nop())
-		return nil
-	case "li":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		v, err := parseImm(args[1])
-		if err != nil {
-			return errf("li: bad immediate %q", args[1])
-		}
-		b.Li(rd, int32(v))
-		return nil
-	case "la":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		if !isIdent(args[1]) {
-			return errf("la: bad label %q", args[1])
-		}
-		b.La(rd, args[1])
-		return nil
-	case "mv":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs, err := reg(1)
-		if err != nil {
-			return err
-		}
-		b.I(isa.Mv(rd, rs))
-		return nil
-	case "not":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, _ := reg(0)
-		rs, err := reg(1)
-		if err != nil {
-			return err
-		}
-		b.I(isa.Xori(rd, rs, -1))
-		return nil
-	case "neg":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, _ := reg(0)
-		rs, err := reg(1)
-		if err != nil {
-			return err
-		}
-		b.I(isa.Sub(rd, isa.Zero, rs))
-		return nil
-	case "seqz":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, _ := reg(0)
-		rs, err := reg(1)
-		if err != nil {
-			return err
-		}
-		b.I(isa.Sltiu(rd, rs, 1))
-		return nil
-	case "snez":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, _ := reg(0)
-		rs, err := reg(1)
-		if err != nil {
-			return err
-		}
-		b.I(isa.Sltu(rd, isa.Zero, rs))
-		return nil
-	case "j":
-		if err := nargs(1); err != nil {
-			return err
-		}
-		return jumpTarget(b, isa.Zero, args[0], lineNo, errf)
-	case "call":
-		if err := nargs(1); err != nil {
-			return err
-		}
-		return jumpTarget(b, isa.RA, args[0], lineNo, errf)
-	case "jr":
-		if err := nargs(1); err != nil {
-			return err
-		}
-		rs, err := reg(0)
-		if err != nil {
-			return err
-		}
-		b.I(isa.Jalr(isa.Zero, rs, 0))
-		return nil
-	case "ret":
-		if err := nargs(0); err != nil {
-			return err
-		}
-		b.I(isa.Jalr(isa.Zero, isa.RA, 0))
-		return nil
-	case "beqz", "bnez", "bltz", "bgez", "bgtz", "blez":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rs, err := reg(0)
-		if err != nil {
-			return err
-		}
-		var op isa.Op
-		var r1, r2 isa.Reg
-		switch mnemonic {
-		case "beqz":
-			op, r1, r2 = isa.BEQ, rs, isa.Zero
-		case "bnez":
-			op, r1, r2 = isa.BNE, rs, isa.Zero
-		case "bltz":
-			op, r1, r2 = isa.BLT, rs, isa.Zero
-		case "bgez":
-			op, r1, r2 = isa.BGE, rs, isa.Zero
-		case "bgtz":
-			op, r1, r2 = isa.BLT, isa.Zero, rs
-		case "blez":
-			op, r1, r2 = isa.BGE, isa.Zero, rs
-		}
-		return branchTarget(b, op, r1, r2, args[1], lineNo, errf)
-	case "bgt", "ble", "bgtu", "bleu":
-		if err := nargs(3); err != nil {
-			return err
-		}
-		r1, err := reg(0)
-		if err != nil {
-			return err
-		}
-		r2, err := reg(1)
-		if err != nil {
-			return err
-		}
-		var op isa.Op
-		switch mnemonic {
-		case "bgt":
-			op = isa.BLT
-		case "ble":
-			op = isa.BGE
-		case "bgtu":
-			op = isa.BLTU
-		case "bleu":
-			op = isa.BGEU
-		}
-		return branchTarget(b, op, r2, r1, args[2], lineNo, errf)
-	}
+// branchZero are the "op rs, target" pseudo-branches, which compare rs
+// with x0; swap puts x0 first ("bgtz rs" is "blt zero, rs").
+var branchZero = map[string]struct {
+	op   isa.Op
+	swap bool
+}{
+	"beqz": {isa.BEQ, false}, "bnez": {isa.BNE, false},
+	"bltz": {isa.BLT, false}, "bgez": {isa.BGE, false},
+	"bgtz": {isa.BLT, true}, "blez": {isa.BGE, true},
+}
 
-	op, ok := opByName[mnemonic]
-	if !ok {
-		return errf("unknown mnemonic %q", mnemonic)
-	}
+// branchSwap are the "op rs1, rs2, target" pseudo-branches: a real branch
+// with its operands reversed ("bgt a, b" is "blt b, a").
+var branchSwap = map[string]isa.Op{"bgt": isa.BLT, "ble": isa.BGE, "bgtu": isa.BLTU, "bleu": isa.BGEU}
 
-	switch {
-	case op.IsSystem() || op == isa.FENCE:
-		if err := nargs(0); err != nil {
-			return err
+// statement parses one instruction or directive into b.
+func statement(b *Builder, line string) error {
+	fields := strings.SplitN(line, " ", 2)
+	s := &stmt{b: b, op: strings.ToLower(strings.TrimSpace(fields[0]))}
+	if len(fields) > 1 && strings.TrimSpace(fields[1]) != "" {
+		for _, a := range strings.Split(fields[1], ",") {
+			s.args = append(s.args, strings.TrimSpace(a))
 		}
-		b.I(isa.Inst{Op: op})
-		return nil
-	case op.Format() == isa.FormatR:
-		if err := nargs(3); err != nil {
-			return err
+	}
+	if bz, ok := branchZero[s.op]; ok {
+		s.want(2)
+		rs1, rs2 := s.reg(0), isa.Zero
+		if bz.swap {
+			rs1, rs2 = rs2, rs1
 		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
+		s.emit(isa.Inst{Op: bz.op, Rs1: rs1, Rs2: rs2, Imm: s.target(1)})
+		return s.err
+	}
+	if op, ok := branchSwap[s.op]; ok {
+		s.want(3)
+		rs2 := s.reg(0)
+		s.emit(isa.Inst{Op: op, Rs1: s.reg(1), Rs2: rs2, Imm: s.target(2)})
+		return s.err
+	}
+	if f, ok := unary[s.op]; ok {
+		s.want(2)
+		b.I(f(s.reg(0), s.reg(1)))
+		return s.err
+	}
+	switch s.op {
+	case ".org":
+		s.want(1)
+		b.SetOrigin(uint32(s.imm(0, fixNone)))
+	case ".word":
+		if len(s.args) == 0 {
+			s.fail(".word wants at least one value")
 		}
-		rs1, err := reg(1)
-		if err != nil {
-			return err
-		}
-		rs2, err := reg(2)
-		if err != nil {
-			return err
-		}
-		b.I(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
-		return nil
-	case op.IsLoad():
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		off, rs1, fx, label, err := parseMemOperand(args[1])
-		if err != nil {
-			return errf("%s: %v", mnemonic, err)
-		}
-		addItem(item{inst: isa.Inst{Op: op, Rd: rd, Rs1: rs1, Imm: off}, fix: fx, label: label})
-		return nil
-	case op.IsStore():
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rs2, err := reg(0)
-		if err != nil {
-			return err
-		}
-		off, rs1, fx, label, err := parseMemOperand(args[1])
-		if err != nil {
-			return errf("%s: %v", mnemonic, err)
-		}
-		addItem(item{inst: isa.Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: off}, fix: fx, label: label})
-		return nil
-	case op.IsBranch():
-		if err := nargs(3); err != nil {
-			return err
-		}
-		rs1, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs2, err := reg(1)
-		if err != nil {
-			return err
-		}
-		return branchTarget(b, op, rs1, rs2, args[2], lineNo, errf)
-	case op == isa.LUI || op == isa.AUIPC:
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		if label, ok := hiRef(args[1]); ok {
-			addItem(item{inst: isa.Inst{Op: op, Rd: rd}, fix: fixHi, label: label})
-			return nil
-		}
-		v, err := parseImm(args[1])
-		if err != nil {
-			return errf("%s: bad immediate %q", mnemonic, args[1])
-		}
-		b.I(isa.Inst{Op: op, Rd: rd, Imm: int32(v)})
-		return nil
-	case op == isa.JAL:
-		switch len(args) {
-		case 1:
-			return jumpTarget(b, isa.RA, args[0], lineNo, errf)
-		case 2:
-			rd, err := reg(0)
-			if err != nil {
-				return err
+		for i, a := range s.args {
+			if isIdent(a) {
+				b.WordAddr(a)
+			} else {
+				b.Word(uint32(s.imm(i, fixNone)))
 			}
-			return jumpTarget(b, rd, args[1], lineNo, errf)
-		default:
-			return errf("jal wants 1 or 2 operands")
 		}
+	case ".space", ".zero":
+		s.want(1)
+		n := int(s.imm(0, fixNone))
+		if n < 0 || n > maxImageBytes-4*b.Len() {
+			s.fail("%s: byte count %s outside [0, %d]", s.op, s.args[0], maxImageBytes-4*b.Len())
+			break
+		}
+		for ; n > 0; n -= 4 {
+			b.Word(0)
+		}
+	case ".align": // images are always word-aligned
+	case "nop":
+		s.want(0)
+		b.I(isa.Nop())
+	case "li":
+		s.want(2)
+		b.Li(s.reg(0), s.imm(1, fixNone))
+	case "la":
+		s.want(2)
+		b.La(s.reg(0), s.label(1))
+	case "j":
+		s.want(1)
+		s.emit(isa.Jal(isa.Zero, s.target(0)))
+	case "call":
+		s.want(1)
+		s.emit(isa.Jal(isa.RA, s.target(0)))
+	case "jr":
+		s.want(1)
+		b.I(isa.Jalr(isa.Zero, s.reg(0), 0))
+	case "ret":
+		s.want(0)
+		b.I(isa.Jalr(isa.Zero, isa.RA, 0))
+	default:
+		instruction(s)
+	}
+	return s.err
+}
+
+// instruction parses a real instruction, by operand format.
+func instruction(s *stmt) {
+	op, ok := opByName[s.op]
+	switch {
+	case !ok && strings.HasPrefix(s.op, "."):
+		s.fail("unknown directive %q", s.op)
+	case !ok:
+		s.fail("unknown mnemonic %q", s.op)
+	case op.IsSystem() || op == isa.FENCE:
+		s.want(0)
+		s.b.I(isa.Inst{Op: op})
+	case op.Format() == isa.FormatR:
+		s.want(3)
+		s.b.I(isa.Inst{Op: op, Rd: s.reg(0), Rs1: s.reg(1), Rs2: s.reg(2)})
+	case op.IsLoad():
+		s.want(2)
+		rd := s.reg(0)
+		off, base := s.mem(1, fixLo)
+		s.emit(isa.Inst{Op: op, Rd: rd, Rs1: base, Imm: off})
+	case op.IsStore():
+		s.want(2)
+		rs2 := s.reg(0)
+		off, base := s.mem(1, fixLo)
+		s.emit(isa.Inst{Op: op, Rs1: base, Rs2: rs2, Imm: off})
+	case op.IsBranch():
+		s.want(3)
+		s.emit(isa.Inst{Op: op, Rs1: s.reg(0), Rs2: s.reg(1), Imm: s.target(2)})
+	case op == isa.LUI || op == isa.AUIPC:
+		s.want(2)
+		s.emit(isa.Inst{Op: op, Rd: s.reg(0), Imm: s.imm(1, fixHi)})
+	case op == isa.JAL:
+		if len(s.args) == 1 { // "jal target" links ra
+			s.args = append([]string{"ra"}, s.args...)
+		}
+		s.want(2)
+		s.emit(isa.Jal(s.reg(0), s.target(1)))
 	case op == isa.JALR:
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		off, rs1, fx, label, err := parseMemOperand(args[1])
-		if err != nil || fx != fixNone {
-			return errf("jalr: bad operand %q", args[1])
-		}
-		_ = label
-		b.I(isa.Jalr(rd, rs1, off))
-		return nil
+		s.want(2)
+		rd := s.reg(0)
+		off, base := s.mem(1, fixNone)
+		s.b.I(isa.Jalr(rd, base, off))
 	default: // I-type ALU and shifts
-		if err := nargs(3); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs1, err := reg(1)
-		if err != nil {
-			return err
-		}
-		if label, ok := loRef(args[2]); ok {
-			addItem(item{inst: isa.Inst{Op: op, Rd: rd, Rs1: rs1}, fix: fixLo, label: label})
-			return nil
-		}
-		v, err := parseImm(args[2])
-		if err != nil {
-			return errf("%s: bad immediate %q", mnemonic, args[2])
-		}
-		b.I(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(v)})
-		return nil
+		s.want(3)
+		s.emit(isa.Inst{Op: op, Rd: s.reg(0), Rs1: s.reg(1), Imm: s.imm(2, fixLo)})
 	}
 }
 
-func jumpTarget(b *Builder, rd isa.Reg, target string, lineNo int, errf func(string, ...any) error) error {
-	if isIdent(target) {
-		b.items = append(b.items, item{
-			inst: isa.Inst{Op: isa.JAL, Rd: rd}, fix: fixJump, label: target, line: lineNo,
-		})
-		return nil
-	}
-	v, err := parseImm(target)
-	if err != nil {
-		return errf("bad jump target %q", target)
-	}
-	b.items = append(b.items, item{inst: isa.Jal(rd, int32(v)), line: lineNo})
-	return nil
+// stmt reads the operands of one statement. A failed read records the
+// statement's first error, and from then on every read returns a zero
+// value, so a form reads all its operands and checks once, at the end.
+type stmt struct {
+	b    *Builder
+	op   string   // mnemonic or directive, lower-cased
+	args []string // operands, trimmed
+	err  error
+
+	// fix and ref are the label reference an operand named, if any;
+	// emit hands them to the Builder with the instruction.
+	fix fixupKind
+	ref string
 }
 
-func branchTarget(b *Builder, op isa.Op, rs1, rs2 isa.Reg, target string, lineNo int, errf func(string, ...any) error) error {
-	if isIdent(target) {
-		b.items = append(b.items, item{
-			inst: isa.Inst{Op: op, Rs1: rs1, Rs2: rs2}, fix: fixBranch, label: target, line: lineNo,
-		})
-		return nil
+func (s *stmt) fail(format string, args ...any) {
+	if s.err == nil {
+		s.err = errorf(s.b.line, format, args...)
 	}
-	v, err := parseImm(target)
-	if err != nil {
-		return errf("bad branch target %q", target)
-	}
-	b.items = append(b.items, item{inst: isa.Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: int32(v)}, line: lineNo})
-	return nil
 }
 
-// parseMemOperand parses "offset(reg)", "(reg)", or "%lo(label)(reg)".
-func parseMemOperand(s string) (off int32, base isa.Reg, fx fixupKind, label string, err error) {
-	open := strings.LastIndex(s, "(")
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return 0, 0, fixNone, "", fmt.Errorf("bad memory operand %q", s)
+// want checks that the statement has n operands.
+func (s *stmt) want(n int) {
+	if len(s.args) != n {
+		s.fail("%s wants %d operands, got %d", s.op, n, len(s.args))
 	}
-	regStr := s[open+1 : len(s)-1]
-	base, ok := regByName(regStr)
+}
+
+// arg returns operand i, or "" once a read has failed.
+func (s *stmt) arg(i int) string {
+	if s.err != nil {
+		return ""
+	}
+	return s.args[i]
+}
+
+// emit appends in, patched at Assemble time by the label an operand named.
+func (s *stmt) emit(in isa.Inst) { s.b.fixup(in, s.fix, s.ref) }
+
+// reg reads operand i as a register.
+func (s *stmt) reg(i int) isa.Reg { return s.regNamed(s.arg(i)) }
+
+func (s *stmt) regNamed(name string) isa.Reg {
+	r, ok := regNames[strings.ToLower(strings.TrimSpace(name))]
 	if !ok {
-		return 0, 0, fixNone, "", fmt.Errorf("bad base register %q", regStr)
+		s.fail("%s: bad register %q", s.op, name)
 	}
-	offStr := strings.TrimSpace(s[:open])
-	if offStr == "" {
-		return 0, base, fixNone, "", nil
+	return r
+}
+
+// imm reads operand i as a number or, where rel is fixHi or fixLo, as
+// %hi(label) or %lo(label).
+func (s *stmt) imm(i int, rel fixupKind) int32 { return s.value(s.arg(i), rel) }
+
+// relocs are the operand prefixes of the %hi and %lo relocations.
+var relocs = [...]string{fixHi: "%hi(", fixLo: "%lo("}
+
+func (s *stmt) value(str string, rel fixupKind) int32 {
+	if p := relocs[rel]; p != "" && strings.HasPrefix(str, p) && strings.HasSuffix(str, ")") {
+		s.refer(rel, str[len(p):len(str)-1])
+		return 0
 	}
-	if l, ok := loRef(offStr); ok {
-		return 0, base, fixLo, l, nil
-	}
-	v, err := parseImm(offStr)
+	v, err := parseImm(str)
 	if err != nil {
-		return 0, 0, fixNone, "", fmt.Errorf("bad offset %q", offStr)
+		s.fail("%s: %v", s.op, err)
 	}
-	return int32(v), base, fixNone, "", nil
+	return v
 }
 
-func hiRef(s string) (string, bool) {
-	if strings.HasPrefix(s, "%hi(") && strings.HasSuffix(s, ")") {
-		return s[4 : len(s)-1], true
+// mem reads operand i as a memory operand, "offset(reg)" or "(reg)",
+// whose offset may be %lo(label) where rel is fixLo.
+func (s *stmt) mem(i int, rel fixupKind) (off int32, base isa.Reg) {
+	str := s.arg(i)
+	open := strings.LastIndex(str, "(")
+	if open < 0 || !strings.HasSuffix(str, ")") {
+		s.fail("%s: bad memory operand %q", s.op, str)
+		return 0, 0
 	}
-	return "", false
+	base = s.regNamed(str[open+1 : len(str)-1])
+	if offStr := strings.TrimSpace(str[:open]); offStr != "" {
+		off = s.value(offStr, rel)
+	}
+	return off, base
 }
 
-func loRef(s string) (string, bool) {
-	if strings.HasPrefix(s, "%lo(") && strings.HasSuffix(s, ")") {
-		return s[4 : len(s)-1], true
+// target reads operand i as a branch or jump target: a label, or a
+// PC-relative byte offset.
+func (s *stmt) target(i int) int32 {
+	str := s.arg(i)
+	if isIdent(str) {
+		s.refer(fixPC, str)
+		return 0
 	}
-	return "", false
+	return s.value(str, fixNone)
 }
 
-func parseImm(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	return strconv.ParseInt(s, 0, 64)
+// label reads operand i as a label name.
+func (s *stmt) label(i int) string {
+	str := s.arg(i)
+	if !isIdent(str) {
+		s.fail("%s: bad label %q", s.op, str)
+	}
+	return str
+}
+
+// refer records that the instruction being read takes label's address.
+func (s *stmt) refer(kind fixupKind, label string) {
+	if label == "" {
+		s.fail("%s: empty label", s.op)
+	}
+	s.fix, s.ref = kind, label
+}
+
+// parseImm parses a decimal or 0x-hex number that fits in 32 bits,
+// signed or unsigned, and returns its low 32 bits: 0xFFFFFFFF and -1 are
+// the same word.
+func parseImm(s string) (int32, error) {
+	v, err := strconv.ParseInt(s, 0, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return 0, fmt.Errorf("bad number %q", s)
+	}
+	if err != nil || v < math.MinInt32 || v > math.MaxUint32 {
+		return 0, fmt.Errorf("number %s does not fit in 32 bits", s)
+	}
+	return int32(v), nil
 }
 
 // isIdent reports whether s looks like a label name rather than a number.
@@ -592,8 +396,3 @@ var regNames = func() map[string]isa.Reg {
 	m["fp"] = isa.S0
 	return m
 }()
-
-func regByName(s string) (isa.Reg, bool) {
-	r, ok := regNames[strings.ToLower(strings.TrimSpace(s))]
-	return r, ok
-}

@@ -51,3 +51,22 @@ func TestCacheAnnotatedFuncsDoNotAllocate(t *testing.T) {
 		t.Errorf("cache operations allocate %.1f times per run, want 0", allocs)
 	}
 }
+
+var allocSinkCache *Cache
+
+// TestNewCacheAllocations pins NewCache to one backing array per field:
+// the Cache itself and its tag, valid and LRU slices, whatever the set
+// count. A cache is built per simulated core, so per-set slices would
+// dominate a core's set-up.
+func TestNewCacheAllocations(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		c, err := NewCache(DefaultCacheConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocSinkCache = c
+	})
+	if allocs > 4 {
+		t.Errorf("NewCache allocates %.0f times, want at most 4", allocs)
+	}
+}

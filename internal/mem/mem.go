@@ -161,9 +161,10 @@ type Cache struct {
 	cfg     CacheConfig
 	sets    int
 	lineOff uint32 // log2(LineBytes)
-	tags    [][]uint32
-	valid   [][]bool
-	lruTick [][]uint64
+	// Way w of set s is entry s*Ways+w of each slice.
+	tags    []uint32
+	valid   []bool
+	lruTick []uint64
 	tick    uint64
 
 	hits, misses uint64
@@ -183,14 +184,9 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	for sz := cfg.LineBytes; sz > 1; sz >>= 1 {
 		c.lineOff++
 	}
-	c.tags = make([][]uint32, sets)
-	c.valid = make([][]bool, sets)
-	c.lruTick = make([][]uint64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint32, cfg.Ways)
-		c.valid[i] = make([]bool, cfg.Ways)
-		c.lruTick[i] = make([]uint64, cfg.Ways)
-	}
+	c.tags = make([]uint32, sets*cfg.Ways)
+	c.valid = make([]bool, sets*cfg.Ways)
+	c.lruTick = make([]uint64, sets*cfg.Ways)
 	return c, nil
 }
 
@@ -206,9 +202,10 @@ func MustNewCache(cfg CacheConfig) *Cache {
 // Config returns the cache configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-func (c *Cache) index(addr uint32) (set int, tag uint32) {
+// index returns the first entry of addr's set and addr's tag.
+func (c *Cache) index(addr uint32) (base int, tag uint32) {
 	line := addr >> c.lineOff
-	return int(line) & (c.sets - 1), line / uint32(c.sets)
+	return (int(line) & (c.sets - 1)) * c.cfg.Ways, line / uint32(c.sets)
 }
 
 // Access simulates one access to addr and returns whether it hit plus the
@@ -219,28 +216,29 @@ func (c *Cache) index(addr uint32) (set int, tag uint32) {
 //emsim:noalloc
 func (c *Cache) Access(addr uint32) (hit bool, stallCycles int) {
 	c.tick++
-	set, tag := c.index(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.lruTick[set][w] = c.tick
+	base, tag := c.index(addr)
+	end := base + c.cfg.Ways
+	for i := base; i < end; i++ {
+		if c.valid[i] && c.tags[i] == tag {
+			c.lruTick[i] = c.tick
 			c.hits++
 			return true, c.cfg.HitLatency
 		}
 	}
 	// Miss: fill the LRU (or first invalid) way.
-	victim := 0
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.valid[set][w] {
-			victim = w
+	victim := base
+	for i := base; i < end; i++ {
+		if !c.valid[i] {
+			victim = i
 			break
 		}
-		if c.lruTick[set][w] < c.lruTick[set][victim] {
-			victim = w
+		if c.lruTick[i] < c.lruTick[victim] {
+			victim = i
 		}
 	}
-	c.tags[set][victim] = tag
-	c.valid[set][victim] = true
-	c.lruTick[set][victim] = c.tick
+	c.tags[victim] = tag
+	c.valid[victim] = true
+	c.lruTick[victim] = c.tick
 	c.misses++
 	return false, c.cfg.HitLatency + c.cfg.MissPenalty
 }
@@ -249,9 +247,9 @@ func (c *Cache) Access(addr uint32) (hit bool, stallCycles int) {
 //
 //emsim:noalloc
 func (c *Cache) Probe(addr uint32) bool {
-	set, tag := c.index(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
+	base, tag := c.index(addr)
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if c.valid[i] && c.tags[i] == tag {
 			return true
 		}
 	}
@@ -262,12 +260,8 @@ func (c *Cache) Probe(addr uint32) bool {
 //
 //emsim:noalloc
 func (c *Cache) Flush() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-			c.lruTick[s][w] = 0
-		}
-	}
+	clear(c.valid)
+	clear(c.lruTick)
 	c.tick = 0
 }
 

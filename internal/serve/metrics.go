@@ -49,7 +49,7 @@ type metrics struct {
 }
 
 // endpoints are the request-duration histogram labels; jobs carry one.
-var endpoints = []string{"simulate", "tvla", "savat", "attribute", "other"}
+var endpoints = []string{"simulate", "tvla", "other"}
 
 func newMetrics(phases []string) *metrics {
 	reg := obs.NewRegistry()

@@ -80,6 +80,13 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
 		}
 	}
+	// Request-duration labels name only endpoints that submit jobs; no
+	// route runs a SAVAT or attribution job.
+	for _, label := range []string{`endpoint="savat"`, `endpoint="attribute"`} {
+		if strings.Contains(text, label) {
+			t.Errorf("/metrics has a series with %s, which no route submits", label)
+		}
+	}
 }
 
 func TestTraceEndpointSnapshot(t *testing.T) {

@@ -47,11 +47,6 @@ type Config struct {
 	// MaxTimeout clamps one that does. Defaults 30s / 120s.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// RetryAfter is the hint returned with 429 responses. Default 1s.
-	RetryAfter time.Duration
-	// MaxTVLATraces caps traces_per_group of a /v1/tvla request.
-	// Default 256.
-	MaxTVLATraces int
 	// MaxTrainJobs bounds how many /v1/train campaigns run concurrently;
 	// excess jobs queue inside the registry. Default 1 (training is
 	// internally parallel already).
@@ -101,12 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 120 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxTVLATraces <= 0 {
-		c.MaxTVLATraces = 256
 	}
 	if c.MaxTrainJobs <= 0 {
 		c.MaxTrainJobs = 1
@@ -239,14 +228,14 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// retryAfter is the hint returned with 429 responses.
+const retryAfter = time.Second
+
 // shed maps a submit failure to its HTTP response.
 func (s *Server) shed(w http.ResponseWriter, err error) {
 	switch err {
 	case errQueueFull:
-		secs := int(s.cfg.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
+		secs := int(retryAfter / time.Second)
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		writeError(w, http.StatusTooManyRequests, "simulation queue full; retry after %ds", secs)
 	case errDraining:

@@ -168,6 +168,8 @@ func TestSimulateValidation(t *testing.T) {
 		{"both programs", `{"asm": "ebreak", "words": [115]}`, http.StatusBadRequest},
 		{"bad assembly", `{"asm": "frobnicate t0"}`, http.StatusBadRequest},
 		{"huge reservation", `{"asm": ".space 4000000000"}`, http.StatusBadRequest},
+		{"bad destination register", `{"asm": "neg bogus, t1\nebreak"}`, http.StatusBadRequest},
+		{"immediate wider than 32 bits", `{"asm": "addi t0, zero, 4294967297\nebreak"}`, http.StatusBadRequest},
 		{"oversized words", `{"words": [` + strings.Repeat("19,", 16) + `115]}`, http.StatusRequestEntityTooLarge},
 		{"wrong method", ``, http.StatusMethodNotAllowed},
 	}

@@ -27,7 +27,8 @@ type tvlaRequest struct {
 	// Both are hex-encoded (32 characters).
 	KeyHex   string `json:"key_hex"`
 	FixedHex string `json:"fixed_hex"`
-	// TracesPerGroup is the campaign size per group (fixed and random).
+	// TracesPerGroup is the campaign size per group (fixed and random),
+	// in [2, maxTVLATraces].
 	TracesPerGroup int `json:"traces_per_group"`
 	// Seed drives the random group's inputs and the additive noise, so
 	// an assessment is reproducible. Default 1.
@@ -49,6 +50,9 @@ type tvlaResponse struct {
 	LeakyCount  int     `json:"leaky_count"`
 	LeakyPoints []int   `json:"leaky_points,omitempty"`
 }
+
+// maxTVLATraces caps traces_per_group.
+const maxTVLATraces = 256
 
 // maxLeakyPoints bounds the response size; AES traces have tens of
 // thousands of samples and heavy leakage can flag most of them.
@@ -96,9 +100,9 @@ func (s *Server) handleTVLA(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.TracesPerGroup < 2 || req.TracesPerGroup > s.cfg.MaxTVLATraces {
+	if req.TracesPerGroup < 2 || req.TracesPerGroup > maxTVLATraces {
 		writeError(w, http.StatusBadRequest,
-			"traces_per_group must be in [2, %d]", s.cfg.MaxTVLATraces)
+			"traces_per_group must be in [2, %d]", maxTVLATraces)
 		return
 	}
 	seed := req.Seed
