@@ -58,7 +58,26 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	model := trainOrLoad(dev, *modelPath, *seed, *trainWorkers, *quick)
+	model, trained, err := core.LoadOrTrainFile(*modelPath, func() (*core.Model, error) {
+		fmt.Fprintln(os.Stderr, "training EMSim against the reference device...")
+		topts := core.TrainOptions{Seed: *seed, Workers: *trainWorkers}
+		if *quick {
+			topts.Runs = 3
+			topts.InstancesPerCluster = 10
+			topts.MixedPrograms = 2
+			topts.MixedLength = 200
+		}
+		return core.Train(dev, topts)
+	})
+	if err != nil {
+		fatal(err)
+	}
+	switch {
+	case !trained:
+		fmt.Fprintf(os.Stderr, "loaded trained model from %s\n", *modelPath)
+	case *modelPath != "":
+		fmt.Fprintf(os.Stderr, "saved trained model to %s\n", *modelPath)
+	}
 
 	opts := defend.Options{
 		Model:      model,
@@ -111,36 +130,6 @@ func main() {
 		return
 	}
 	fmt.Print(report)
-}
-
-// trainOrLoad returns a trained model, reusing the cache file when one
-// is given.
-func trainOrLoad(dev *device.Device, path string, seed int64, workers int, quick bool) *core.Model {
-	if path != "" {
-		if m, err := core.LoadModelFile(path); err == nil {
-			fmt.Fprintf(os.Stderr, "loaded trained model from %s\n", path)
-			return m
-		}
-	}
-	fmt.Fprintln(os.Stderr, "training EMSim against the reference device...")
-	topts := core.TrainOptions{Seed: seed, Workers: workers}
-	if quick {
-		topts.Runs = 3
-		topts.InstancesPerCluster = 10
-		topts.MixedPrograms = 2
-		topts.MixedLength = 200
-	}
-	m, err := core.Train(dev, topts)
-	if err != nil {
-		fatal(err)
-	}
-	if path != "" {
-		if err := m.SaveFile(path); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "saved trained model to %s\n", path)
-	}
-	return m
 }
 
 func fatal(err error) {

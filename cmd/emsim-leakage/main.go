@@ -50,7 +50,28 @@ func main() {
 	doReal, doSim := !*simOnly, !*realOnly
 
 	dev := emsim.NewDevice(emsim.DefaultDeviceOptions())
-	model := trainOrLoad(dev, *modelPath, *seed, doSim, *trainWorkers, *progress)
+	// Training is skipped entirely for -real runs that never simulate.
+	var model *emsim.Model
+	if doSim {
+		m, trained, err := core.LoadOrTrainFile(*modelPath, func() (*core.Model, error) {
+			fmt.Fprintln(os.Stderr, "training EMSim against the reference device...")
+			opts := core.TrainOptions{Seed: *seed, Workers: *trainWorkers}
+			if *progress {
+				opts.Progress = printProgress
+			}
+			return core.Train(dev, opts)
+		})
+		if err != nil {
+			fatal(err)
+		}
+		switch {
+		case !trained:
+			fmt.Fprintf(os.Stderr, "loaded trained model from %s\n", *modelPath)
+		case *modelPath != "":
+			fmt.Fprintf(os.Stderr, "saved trained model to %s\n", *modelPath)
+		}
+		model = m
+	}
 
 	switch *mode {
 	case "tvla":
@@ -62,43 +83,16 @@ func main() {
 	}
 }
 
-// trainOrLoad returns a trained model, reusing the cache file when one is
-// given. Training is skipped entirely for -real runs that never simulate.
-func trainOrLoad(dev *emsim.Device, path string, seed int64, needed bool, workers int, progress bool) *emsim.Model {
-	if !needed {
-		return nil
+// printProgress reports each training phase's start and finish on stderr.
+func printProgress(p core.Progress) {
+	switch {
+	case p.Done == 0:
+		fmt.Fprintf(os.Stderr, "  phase %d/%d %-10s %d measurements...\n",
+			int(p.Phase)+1, core.NumPhases, p.Phase, p.Total)
+	case p.Done == p.Total:
+		fmt.Fprintf(os.Stderr, "  phase %d/%d %-10s done in %s\n",
+			int(p.Phase)+1, core.NumPhases, p.Phase, p.Elapsed.Round(time.Millisecond))
 	}
-	if path != "" {
-		if m, err := core.LoadModelFile(path); err == nil {
-			fmt.Fprintf(os.Stderr, "loaded trained model from %s\n", path)
-			return m
-		}
-	}
-	fmt.Fprintln(os.Stderr, "training EMSim against the reference device...")
-	opts := core.TrainOptions{Seed: seed, Workers: workers}
-	if progress {
-		opts.Progress = func(p core.Progress) {
-			switch {
-			case p.Done == 0:
-				fmt.Fprintf(os.Stderr, "  phase %d/%d %-10s %d measurements...\n",
-					int(p.Phase)+1, core.NumPhases, p.Phase, p.Total)
-			case p.Done == p.Total:
-				fmt.Fprintf(os.Stderr, "  phase %d/%d %-10s done in %s\n",
-					int(p.Phase)+1, core.NumPhases, p.Phase, p.Elapsed.Round(time.Millisecond))
-			}
-		}
-	}
-	m, err := core.Train(dev, opts)
-	if err != nil {
-		fatal(err)
-	}
-	if path != "" {
-		if err := m.SaveFile(path); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "saved trained model to %s\n", path)
-	}
-	return m
 }
 
 func runTVLA(dev *emsim.Device, model *emsim.Model, traces int, seed int64, doReal, doSim bool) {

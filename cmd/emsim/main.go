@@ -86,29 +86,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var model *core.Model
-	if *modelPath != "" {
-		if m, err := core.LoadModelFile(*modelPath); err == nil {
-			fmt.Fprintf(os.Stderr, "loaded trained model from %s\n", *modelPath)
-			model = m
-		}
-	}
-	if model == nil {
+	model, trained, err := core.LoadOrTrainFile(*modelPath, func() (*core.Model, error) {
 		fmt.Fprintln(os.Stderr, "training EMSim against the reference device...")
 		topts := core.TrainOptions{Seed: *seed, Workers: *trainWorkers}
 		if *progress {
 			topts.Progress = printProgress
 		}
-		model, err = core.Train(dev, topts)
-		if err != nil {
-			fatal(err)
-		}
-		if *modelPath != "" {
-			if err := model.SaveFile(*modelPath); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "saved trained model to %s\n", *modelPath)
-		}
+		return core.Train(dev, topts)
+	})
+	if err != nil {
+		fatal(err)
+	}
+	switch {
+	case !trained:
+		fmt.Fprintf(os.Stderr, "loaded trained model from %s\n", *modelPath)
+	case *modelPath != "":
+		fmt.Fprintf(os.Stderr, "saved trained model to %s\n", *modelPath)
 	}
 	fmt.Fprintf(os.Stderr, "kernel: %s theta=%.2f T0=%.3f\n",
 		model.Kernel.Kind, model.Kernel.Theta, model.Kernel.Period)

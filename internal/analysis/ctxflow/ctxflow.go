@@ -143,7 +143,7 @@ func (c *checker) checkGo(stmt *ast.GoStmt) {
 			return
 		}
 	default:
-		if fn, _ := resolveCallee(info, ast.Unparen(call.Fun)); fn != nil {
+		if fn, _ := analysis.ResolveCallee(info, ast.Unparen(call.Fun)); fn != nil {
 			if decl, ok := c.decls[fn]; ok && decl.Body != nil {
 				if hasLifecycle(info, decl.Body) {
 					return
@@ -200,23 +200,4 @@ func isWaitGroup(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
-}
-
-// resolveCallee returns the static callee of fun, if any.
-func resolveCallee(info *types.Info, fun ast.Expr) (*types.Func, bool) {
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		fn, ok := info.Uses[fun].(*types.Func)
-		return fn, ok
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			fn, ok := sel.Obj().(*types.Func)
-			return fn, ok
-		}
-		fn, ok := info.Uses[fun.Sel].(*types.Func)
-		return fn, ok
-	case *ast.IndexExpr:
-		return resolveCallee(info, fun.X)
-	}
-	return nil, false
 }

@@ -5,6 +5,7 @@ import (
 
 	"emsim/internal/device"
 	"emsim/internal/signal"
+	"emsim/internal/stats"
 )
 
 // Comparison is the result of pitting the model's simulated signal
@@ -57,21 +58,20 @@ func (m *Model) Compare(measured, simulated []float64) (*Comparison, error) {
 		return nil, fmt.Errorf("core: signal lengths differ: %d vs %d", len(measured), len(simulated))
 	}
 	spc := m.SamplesPerCycle
-	acc, err := signal.CycleAccuracy(measured, simulated, spc)
-	if err != nil {
-		return nil, err
-	}
 	per, err := signal.PerCycleCorrelation(measured, simulated, spc)
 	if err != nil {
 		return nil, err
+	}
+	if len(per) == 0 {
+		return nil, fmt.Errorf("core: %d samples are fewer than one cycle (%d)", len(measured), spc)
 	}
 	rm := rmseOf(signal.NormalizeMeanAbs(measured), signal.NormalizeMeanAbs(simulated))
 	return &Comparison{
 		Measured:  measured,
 		Simulated: simulated,
-		Accuracy:  acc,
+		Accuracy:  stats.Mean(per), // signal.CycleAccuracy, in the same summation order
 		PerCycle:  per,
 		RMSE:      rm,
-		Cycles:    len(measured) / spc,
+		Cycles:    len(per),
 	}, nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 
@@ -30,14 +32,18 @@ func (m *Model) Save(w io.Writer) error {
 	return enc.Encode(modelFile{Version: modelFileVersion, Model: m})
 }
 
-// SaveFile writes the model to path.
+// SaveFile writes the model to path. A failure to flush the file on
+// close is reported like a failed write.
 func (m *Model) SaveFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return m.Save(f)
+	if err := m.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // LoadModel reads a model previously written with Save and validates its
@@ -139,4 +145,30 @@ func LoadModelFile(path string) (*Model, error) {
 	}
 	defer f.Close()
 	return LoadModel(f)
+}
+
+// LoadOrTrainFile returns the model cached at path. When no file exists
+// there, it calls train and saves the result to path; an empty path
+// trains without saving. Any other failure to load, such as a corrupt
+// file or one from another model-file version, is returned naming the
+// path, and the file is left as it was. trained reports whether train
+// ran.
+func LoadOrTrainFile(path string, train func() (*Model, error)) (m *Model, trained bool, err error) {
+	if path != "" {
+		if m, err = LoadModelFile(path); err == nil {
+			return m, false, nil
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, false, fmt.Errorf("core: read model file %s: %w", path, err)
+		}
+	}
+	if m, err = train(); err != nil {
+		return nil, true, err
+	}
+	if path != "" {
+		if err = m.SaveFile(path); err != nil {
+			return nil, true, fmt.Errorf("core: save model file %s: %w", path, err)
+		}
+	}
+	return m, true, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"emsim/internal/asm"
@@ -113,5 +114,61 @@ func FuzzLoadModel(f *testing.F) {
 			return
 		}
 		simulateFinite(t, m, words)
+	})
+}
+
+// TestLoadOrTrainFile pins the model-cache rule the CLIs share: train
+// and save only when no file exists, load a valid file without
+// training, and refuse a file that exists but does not load, naming the
+// path and leaving its bytes alone.
+func TestLoadOrTrainFile(t *testing.T) {
+	golden, _ := readGolden(t)
+	calls := 0
+	train := func() (*Model, error) {
+		calls++
+		return LoadModel(bytes.NewReader(golden))
+	}
+
+	t.Run("missing", func(t *testing.T) {
+		calls = 0
+		path := t.TempDir() + "/model.json"
+		m, trained, err := LoadOrTrainFile(path, train)
+		if err != nil || m == nil || !trained || calls != 1 {
+			t.Fatalf("got model %v, trained %v, err %v after %d train calls; want a trained model after 1", m != nil, trained, err, calls)
+		}
+		if _, err := LoadModelFile(path); err != nil {
+			t.Errorf("trained model not saved: %v", err)
+		}
+	})
+
+	t.Run("valid", func(t *testing.T) {
+		calls = 0
+		path := t.TempDir() + "/model.json"
+		if err := os.WriteFile(path, golden, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, trained, err := LoadOrTrainFile(path, train)
+		if err != nil || m == nil || trained || calls != 0 {
+			t.Fatalf("got model %v, trained %v, err %v after %d train calls; want the file's model, untrained", m != nil, trained, err, calls)
+		}
+	})
+
+	t.Run("unreadable", func(t *testing.T) {
+		calls = 0
+		path := t.TempDir() + "/model.json"
+		bad := []byte(`{"version": 99, "model": null}`)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := LoadOrTrainFile(path, train)
+		if err == nil || m != nil || calls != 0 {
+			t.Fatalf("got model %v, err %v after %d train calls; want an error and no training", m != nil, err, calls)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("error %q does not name %s", err, path)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, bad) {
+			t.Errorf("file changed to %q (%v); want it left as it was", got, err)
+		}
 	})
 }

@@ -44,28 +44,12 @@ func (c Cluster) Valid() bool { return c < NumClusters }
 
 // StaticCluster maps a mnemonic to its Table I cluster assuming cache hits
 // for loads (the common case). Use DynamicCluster when the hit/miss outcome
-// is known.
+// is known. Everything outside the shift, MUL/DIV, load, store and branch
+// clusters — ALU ops, LUI/AUIPC, jumps, system, FENCE — shares the ALU
+// datapath footprint (Table I folds JAL into the ALU cluster).
 //
 //emsim:noalloc
-func StaticCluster(o Op) Cluster {
-	switch {
-	case o.IsMulDiv():
-		return ClusterMulDiv
-	case o.IsLoad():
-		return ClusterCache
-	case o.IsStore():
-		return ClusterStore
-	case o.IsBranch():
-		return ClusterBranch
-	}
-	switch o {
-	case SLL, SRL, SRA, SLLI, SRLI, SRAI:
-		return ClusterShift
-	}
-	// Everything else — ALU ops, LUI/AUIPC, jumps, system, FENCE — shares
-	// the ALU datapath footprint (Table I folds JAL into the ALU cluster).
-	return ClusterALU
-}
+func StaticCluster(o Op) Cluster { return ops[o].cluster }
 
 // DynamicCluster maps a mnemonic plus the observed cache outcome to the
 // runtime cluster: loads that miss move from ClusterCache to ClusterLoad.
@@ -92,31 +76,27 @@ func Representatives() [NumClusters]Op {
 	}
 }
 
-// ClusterMembers returns the mnemonics Table I assigns to the cluster.
+// ClusterMembers returns the mnemonics Table I assigns to the cluster, in
+// declaration order. The loads belong to both ClusterLoad and
+// ClusterCache; ECALL, EBREAK and FENCE are outside Table I.
 func ClusterMembers(c Cluster) []Op {
-	switch c {
-	case ClusterALU:
-		return []Op{ADD, SUB, SLT, SLTU, XOR, OR, AND, ADDI, SLTI, SLTIU,
-			XORI, ORI, ANDI, LUI, AUIPC, JAL, JALR}
-	case ClusterShift:
-		return []Op{SLL, SRL, SRA, SLLI, SRLI, SRAI}
-	case ClusterMulDiv:
-		return []Op{MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU}
-	case ClusterLoad, ClusterCache:
-		return []Op{LB, LH, LW, LBU, LHU}
-	case ClusterStore:
-		return []Op{SB, SH, SW}
-	case ClusterBranch:
-		return []Op{BEQ, BNE, BLT, BGE, BLTU, BGEU}
+	var members []Op
+	for _, o := range AllOps() {
+		if o.IsSystem() || o == FENCE {
+			continue
+		}
+		if StaticCluster(o) == c || c == ClusterLoad && o.IsLoad() {
+			members = append(members, o)
+		}
 	}
-	return nil
+	return members
 }
 
 // AllOps returns every valid mnemonic, in declaration order.
 func AllOps() []Op {
-	ops := make([]Op, 0, NumOps)
+	all := make([]Op, 0, NumOps)
 	for o := OpInvalid + 1; o < numOps; o++ {
-		ops = append(ops, o)
+		all = append(all, o)
 	}
-	return ops
+	return all
 }

@@ -189,26 +189,100 @@ const (
 // NumOps is the number of valid mnemonics (excluding OpInvalid).
 const NumOps = int(numOps) - 1
 
-var opNames = [numOps]string{
-	OpInvalid: "invalid",
-	ADD:       "add", SUB: "sub", SLL: "sll", SLT: "slt", SLTU: "sltu",
-	XOR: "xor", SRL: "srl", SRA: "sra", OR: "or", AND: "and",
-	MUL: "mul", MULH: "mulh", MULHSU: "mulhsu", MULHU: "mulhu",
-	DIV: "div", DIVU: "divu", REM: "rem", REMU: "remu",
-	ADDI: "addi", SLTI: "slti", SLTIU: "sltiu", XORI: "xori",
-	ORI: "ori", ANDI: "andi", SLLI: "slli", SRLI: "srli", SRAI: "srai",
-	LB: "lb", LH: "lh", LW: "lw", LBU: "lbu", LHU: "lhu",
-	SB: "sb", SH: "sh", SW: "sw",
-	BEQ: "beq", BNE: "bne", BLT: "blt", BGE: "bge", BLTU: "bltu", BGEU: "bgeu",
-	LUI: "lui", AUIPC: "auipc",
-	JAL: "jal", JALR: "jalr",
-	ECALL: "ecall", EBREAK: "ebreak", FENCE: "fence",
+// RISC-V major opcodes (bits 6:0).
+const (
+	opcLUI    = 0b0110111
+	opcAUIPC  = 0b0010111
+	opcJAL    = 0b1101111
+	opcJALR   = 0b1100111
+	opcBranch = 0b1100011
+	opcLoad   = 0b0000011
+	opcStore  = 0b0100011
+	opcOpImm  = 0b0010011
+	opcOp     = 0b0110011
+	opcMisc   = 0b0001111
+	opcSystem = 0b1110011
+)
+
+// opInfo is one mnemonic's row in ops: its assembler name, the fixed
+// fields of its encoding and its Table I cluster.
+type opInfo struct {
+	name    string
+	opcode  uint8
+	funct3  uint8
+	funct7  uint8 // R-type and shift-immediate only
+	cluster Cluster
+}
+
+// ops states RV32IM once: the encoder, the decoder, the formats, the
+// predicates and the cluster maps all read it. It has a row for every Op
+// value, so any Op indexes it without a bounds check; the rows past FENCE
+// are zero and read like OpInvalid (format I, cluster ALU). Loads are
+// filed under ClusterCache, the cache-hit case. ECALL, EBREAK and FENCE
+// are outside Table I and filed under ClusterALU.
+var ops = [1 << 8]opInfo{
+	OpInvalid: {name: "invalid"},
+
+	ADD:    {"add", opcOp, 0b000, 0b0000000, ClusterALU},
+	SUB:    {"sub", opcOp, 0b000, 0b0100000, ClusterALU},
+	SLL:    {"sll", opcOp, 0b001, 0b0000000, ClusterShift},
+	SLT:    {"slt", opcOp, 0b010, 0b0000000, ClusterALU},
+	SLTU:   {"sltu", opcOp, 0b011, 0b0000000, ClusterALU},
+	XOR:    {"xor", opcOp, 0b100, 0b0000000, ClusterALU},
+	SRL:    {"srl", opcOp, 0b101, 0b0000000, ClusterShift},
+	SRA:    {"sra", opcOp, 0b101, 0b0100000, ClusterShift},
+	OR:     {"or", opcOp, 0b110, 0b0000000, ClusterALU},
+	AND:    {"and", opcOp, 0b111, 0b0000000, ClusterALU},
+	MUL:    {"mul", opcOp, 0b000, 0b0000001, ClusterMulDiv},
+	MULH:   {"mulh", opcOp, 0b001, 0b0000001, ClusterMulDiv},
+	MULHSU: {"mulhsu", opcOp, 0b010, 0b0000001, ClusterMulDiv},
+	MULHU:  {"mulhu", opcOp, 0b011, 0b0000001, ClusterMulDiv},
+	DIV:    {"div", opcOp, 0b100, 0b0000001, ClusterMulDiv},
+	DIVU:   {"divu", opcOp, 0b101, 0b0000001, ClusterMulDiv},
+	REM:    {"rem", opcOp, 0b110, 0b0000001, ClusterMulDiv},
+	REMU:   {"remu", opcOp, 0b111, 0b0000001, ClusterMulDiv},
+
+	ADDI:  {"addi", opcOpImm, 0b000, 0, ClusterALU},
+	SLTI:  {"slti", opcOpImm, 0b010, 0, ClusterALU},
+	SLTIU: {"sltiu", opcOpImm, 0b011, 0, ClusterALU},
+	XORI:  {"xori", opcOpImm, 0b100, 0, ClusterALU},
+	ORI:   {"ori", opcOpImm, 0b110, 0, ClusterALU},
+	ANDI:  {"andi", opcOpImm, 0b111, 0, ClusterALU},
+	SLLI:  {"slli", opcOpImm, 0b001, 0b0000000, ClusterShift},
+	SRLI:  {"srli", opcOpImm, 0b101, 0b0000000, ClusterShift},
+	SRAI:  {"srai", opcOpImm, 0b101, 0b0100000, ClusterShift},
+
+	LB:  {"lb", opcLoad, 0b000, 0, ClusterCache},
+	LH:  {"lh", opcLoad, 0b001, 0, ClusterCache},
+	LW:  {"lw", opcLoad, 0b010, 0, ClusterCache},
+	LBU: {"lbu", opcLoad, 0b100, 0, ClusterCache},
+	LHU: {"lhu", opcLoad, 0b101, 0, ClusterCache},
+
+	SB: {"sb", opcStore, 0b000, 0, ClusterStore},
+	SH: {"sh", opcStore, 0b001, 0, ClusterStore},
+	SW: {"sw", opcStore, 0b010, 0, ClusterStore},
+
+	BEQ:  {"beq", opcBranch, 0b000, 0, ClusterBranch},
+	BNE:  {"bne", opcBranch, 0b001, 0, ClusterBranch},
+	BLT:  {"blt", opcBranch, 0b100, 0, ClusterBranch},
+	BGE:  {"bge", opcBranch, 0b101, 0, ClusterBranch},
+	BLTU: {"bltu", opcBranch, 0b110, 0, ClusterBranch},
+	BGEU: {"bgeu", opcBranch, 0b111, 0, ClusterBranch},
+
+	LUI:   {"lui", opcLUI, 0, 0, ClusterALU},
+	AUIPC: {"auipc", opcAUIPC, 0, 0, ClusterALU},
+	JAL:   {"jal", opcJAL, 0, 0, ClusterALU},
+	JALR:  {"jalr", opcJALR, 0b000, 0, ClusterALU},
+
+	ECALL:  {"ecall", opcSystem, 0b000, 0, ClusterALU},
+	EBREAK: {"ebreak", opcSystem, 0b000, 0, ClusterALU},
+	FENCE:  {"fence", opcMisc, 0b000, 0, ClusterALU},
 }
 
 // String returns the lower-case assembler mnemonic.
 func (o Op) String() string {
 	if o < numOps {
-		return opNames[o]
+		return ops[o].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -249,59 +323,40 @@ func (f Format) String() string {
 	return "?"
 }
 
-// Format returns the encoding format of the mnemonic.
+// Format returns the encoding format of the mnemonic, which its major
+// opcode fixes.
 //
 //emsim:noalloc
 func (o Op) Format() Format {
-	switch o {
-	case ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND,
-		MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU:
+	switch ops[o].opcode {
+	case opcOp:
 		return FormatR
-	case SB, SH, SW:
+	case opcStore:
 		return FormatS
-	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
+	case opcBranch:
 		return FormatB
-	case LUI, AUIPC:
+	case opcLUI, opcAUIPC:
 		return FormatU
-	case JAL:
+	case opcJAL:
 		return FormatJ
-	default:
-		return FormatI
 	}
+	return FormatI
 }
 
 // IsLoad reports whether o reads data memory.
 //
 //emsim:noalloc
-func (o Op) IsLoad() bool {
-	switch o {
-	case LB, LH, LW, LBU, LHU:
-		return true
-	}
-	return false
-}
+func (o Op) IsLoad() bool { return ops[o].opcode == opcLoad }
 
 // IsStore reports whether o writes data memory.
 //
 //emsim:noalloc
-func (o Op) IsStore() bool {
-	switch o {
-	case SB, SH, SW:
-		return true
-	}
-	return false
-}
+func (o Op) IsStore() bool { return ops[o].opcode == opcStore }
 
 // IsBranch reports whether o is a conditional branch.
 //
 //emsim:noalloc
-func (o Op) IsBranch() bool {
-	switch o {
-	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
-		return true
-	}
-	return false
-}
+func (o Op) IsBranch() bool { return ops[o].opcode == opcBranch }
 
 // IsJump reports whether o is an unconditional control transfer.
 //
@@ -311,13 +366,7 @@ func (o Op) IsJump() bool { return o == JAL || o == JALR }
 // IsMulDiv reports whether o uses the multi-cycle multiply/divide unit.
 //
 //emsim:noalloc
-func (o Op) IsMulDiv() bool {
-	switch o {
-	case MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU:
-		return true
-	}
-	return false
-}
+func (o Op) IsMulDiv() bool { return ops[o].opcode == opcOp && ops[o].funct7 == 0b0000001 }
 
 // IsSystem reports whether o is ECALL or EBREAK, which halt the simulated
 // core (the paper models bare-metal execution only).

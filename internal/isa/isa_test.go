@@ -2,6 +2,7 @@ package isa
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -20,25 +21,82 @@ func TestRegString(t *testing.T) {
 	}
 }
 
+// TestOpPredicates pins every per-mnemonic answer for all 47 mnemonics,
+// OpInvalid and an out-of-range Op: each row was read off the switches
+// the ops table replaced.
 func TestOpPredicates(t *testing.T) {
 	tests := []struct {
 		op                                  Op
+		name                                string
+		format                              Format
+		cluster                             Cluster
 		load, store, branch, jump, mul, sys bool
 		writesRd, readsRs1, readsRs2        bool
 	}{
-		{ADD, false, false, false, false, false, false, true, true, true},
-		{ADDI, false, false, false, false, false, false, true, true, false},
-		{LW, true, false, false, false, false, false, true, true, false},
-		{SW, false, true, false, false, false, false, false, true, true},
-		{BEQ, false, false, true, false, false, false, false, true, true},
-		{JAL, false, false, false, true, false, false, true, false, false},
-		{JALR, false, false, false, true, false, false, true, true, false},
-		{MUL, false, false, false, false, true, false, true, true, true},
-		{DIV, false, false, false, false, true, false, true, true, true},
-		{LUI, false, false, false, false, false, false, true, false, false},
-		{ECALL, false, false, false, false, false, true, false, false, false},
+		{OpInvalid, "invalid", FormatI, ClusterALU, false, false, false, false, false, false, true, true, false},
+		{ADD, "add", FormatR, ClusterALU, false, false, false, false, false, false, true, true, true},
+		{SUB, "sub", FormatR, ClusterALU, false, false, false, false, false, false, true, true, true},
+		{SLL, "sll", FormatR, ClusterShift, false, false, false, false, false, false, true, true, true},
+		{SLT, "slt", FormatR, ClusterALU, false, false, false, false, false, false, true, true, true},
+		{SLTU, "sltu", FormatR, ClusterALU, false, false, false, false, false, false, true, true, true},
+		{XOR, "xor", FormatR, ClusterALU, false, false, false, false, false, false, true, true, true},
+		{SRL, "srl", FormatR, ClusterShift, false, false, false, false, false, false, true, true, true},
+		{SRA, "sra", FormatR, ClusterShift, false, false, false, false, false, false, true, true, true},
+		{OR, "or", FormatR, ClusterALU, false, false, false, false, false, false, true, true, true},
+		{AND, "and", FormatR, ClusterALU, false, false, false, false, false, false, true, true, true},
+		{MUL, "mul", FormatR, ClusterMulDiv, false, false, false, false, true, false, true, true, true},
+		{MULH, "mulh", FormatR, ClusterMulDiv, false, false, false, false, true, false, true, true, true},
+		{MULHSU, "mulhsu", FormatR, ClusterMulDiv, false, false, false, false, true, false, true, true, true},
+		{MULHU, "mulhu", FormatR, ClusterMulDiv, false, false, false, false, true, false, true, true, true},
+		{DIV, "div", FormatR, ClusterMulDiv, false, false, false, false, true, false, true, true, true},
+		{DIVU, "divu", FormatR, ClusterMulDiv, false, false, false, false, true, false, true, true, true},
+		{REM, "rem", FormatR, ClusterMulDiv, false, false, false, false, true, false, true, true, true},
+		{REMU, "remu", FormatR, ClusterMulDiv, false, false, false, false, true, false, true, true, true},
+		{ADDI, "addi", FormatI, ClusterALU, false, false, false, false, false, false, true, true, false},
+		{SLTI, "slti", FormatI, ClusterALU, false, false, false, false, false, false, true, true, false},
+		{SLTIU, "sltiu", FormatI, ClusterALU, false, false, false, false, false, false, true, true, false},
+		{XORI, "xori", FormatI, ClusterALU, false, false, false, false, false, false, true, true, false},
+		{ORI, "ori", FormatI, ClusterALU, false, false, false, false, false, false, true, true, false},
+		{ANDI, "andi", FormatI, ClusterALU, false, false, false, false, false, false, true, true, false},
+		{SLLI, "slli", FormatI, ClusterShift, false, false, false, false, false, false, true, true, false},
+		{SRLI, "srli", FormatI, ClusterShift, false, false, false, false, false, false, true, true, false},
+		{SRAI, "srai", FormatI, ClusterShift, false, false, false, false, false, false, true, true, false},
+		{LB, "lb", FormatI, ClusterCache, true, false, false, false, false, false, true, true, false},
+		{LH, "lh", FormatI, ClusterCache, true, false, false, false, false, false, true, true, false},
+		{LW, "lw", FormatI, ClusterCache, true, false, false, false, false, false, true, true, false},
+		{LBU, "lbu", FormatI, ClusterCache, true, false, false, false, false, false, true, true, false},
+		{LHU, "lhu", FormatI, ClusterCache, true, false, false, false, false, false, true, true, false},
+		{SB, "sb", FormatS, ClusterStore, false, true, false, false, false, false, false, true, true},
+		{SH, "sh", FormatS, ClusterStore, false, true, false, false, false, false, false, true, true},
+		{SW, "sw", FormatS, ClusterStore, false, true, false, false, false, false, false, true, true},
+		{BEQ, "beq", FormatB, ClusterBranch, false, false, true, false, false, false, false, true, true},
+		{BNE, "bne", FormatB, ClusterBranch, false, false, true, false, false, false, false, true, true},
+		{BLT, "blt", FormatB, ClusterBranch, false, false, true, false, false, false, false, true, true},
+		{BGE, "bge", FormatB, ClusterBranch, false, false, true, false, false, false, false, true, true},
+		{BLTU, "bltu", FormatB, ClusterBranch, false, false, true, false, false, false, false, true, true},
+		{BGEU, "bgeu", FormatB, ClusterBranch, false, false, true, false, false, false, false, true, true},
+		{LUI, "lui", FormatU, ClusterALU, false, false, false, false, false, false, true, false, false},
+		{AUIPC, "auipc", FormatU, ClusterALU, false, false, false, false, false, false, true, false, false},
+		{JAL, "jal", FormatJ, ClusterALU, false, false, false, true, false, false, true, false, false},
+		{JALR, "jalr", FormatI, ClusterALU, false, false, false, true, false, false, true, true, false},
+		{ECALL, "ecall", FormatI, ClusterALU, false, false, false, false, false, true, false, false, false},
+		{EBREAK, "ebreak", FormatI, ClusterALU, false, false, false, false, false, true, false, false, false},
+		{FENCE, "fence", FormatI, ClusterALU, false, false, false, false, false, false, false, false, false},
+		{Op(200), "op(200)", FormatI, ClusterALU, false, false, false, false, false, false, true, true, false},
+	}
+	if want := NumOps + 2; len(tests) != want {
+		t.Fatalf("%d rows, want %d", len(tests), want)
 	}
 	for _, tc := range tests {
+		if got := tc.op.String(); got != tc.name {
+			t.Errorf("Op(%d).String() = %q, want %q", uint8(tc.op), got, tc.name)
+		}
+		if got := tc.op.Format(); got != tc.format {
+			t.Errorf("%v.Format() = %v, want %v", tc.op, got, tc.format)
+		}
+		if got := StaticCluster(tc.op); got != tc.cluster {
+			t.Errorf("StaticCluster(%v) = %v, want %v", tc.op, got, tc.cluster)
+		}
 		if tc.op.IsLoad() != tc.load {
 			t.Errorf("%v.IsLoad() = %v", tc.op, tc.op.IsLoad())
 		}
@@ -326,6 +384,25 @@ func TestClusters(t *testing.T) {
 	if StaticCluster(JAL) != ClusterALU {
 		t.Error("JAL folds into ALU per Table I")
 	}
+	// core.CombinationGroup's full-ISA draw indexes these lists, so their
+	// order is part of every program it generates.
+	loads := []Op{LB, LH, LW, LBU, LHU}
+	members := [NumClusters + 1][]Op{
+		ClusterALU: {ADD, SUB, SLT, SLTU, XOR, OR, AND, ADDI, SLTI, SLTIU,
+			XORI, ORI, ANDI, LUI, AUIPC, JAL, JALR},
+		ClusterShift:  {SLL, SRL, SRA, SLLI, SRLI, SRAI},
+		ClusterMulDiv: {MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU},
+		ClusterLoad:   loads,
+		ClusterStore:  {SB, SH, SW},
+		ClusterCache:  loads,
+		ClusterBranch: {BEQ, BNE, BLT, BGE, BLTU, BGEU},
+		NumClusters:   nil,
+	}
+	for c, want := range members {
+		if got := ClusterMembers(Cluster(c)); !slices.Equal(got, want) {
+			t.Errorf("ClusterMembers(%v) = %v, want %v", Cluster(c), got, want)
+		}
+	}
 }
 
 func TestClusterMembersCoverISA(t *testing.T) {
@@ -417,8 +494,10 @@ func BenchmarkDecode(b *testing.B) {
 		{Op: FENCE},
 		{Op: ECALL},
 	}
-	for _, op := range referenceRTypeOps {
-		mix = append(mix, Inst{Op: op, Rd: X1, Rs1: X2, Rs2: X3})
+	for _, op := range AllOps() {
+		if op.Format() == FormatR {
+			mix = append(mix, Inst{Op: op, Rd: X1, Rs1: X2, Rs2: X3})
+		}
 	}
 	words := make([]uint32, len(mix))
 	for i, in := range mix {

@@ -434,6 +434,7 @@ func TestTVLAEndpoint(t *testing.T) {
 		{KeyHex: req.KeyHex, FixedHex: "00", TracesPerGroup: 4},
 		{KeyHex: req.KeyHex, FixedHex: req.FixedHex, TracesPerGroup: 1},
 		{KeyHex: req.KeyHex, FixedHex: req.FixedHex, TracesPerGroup: 100000},
+		{KeyHex: req.KeyHex, FixedHex: req.FixedHex, TracesPerGroup: 4, NoiseStd: -1},
 	}
 	for i, bad := range badCases {
 		if r, _ := postJSON(t, ts.URL+"/v1/tvla", bad); r.StatusCode != http.StatusBadRequest {

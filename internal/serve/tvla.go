@@ -35,7 +35,7 @@ type tvlaRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 	// NoiseStd adds Gaussian per-sample measurement noise to the
 	// simulated traces so t statistics are comparable to measured ones.
-	// Zero runs noiseless.
+	// Zero runs noiseless; a negative value is rejected.
 	NoiseStd  float64 `json:"noise_std,omitempty"`
 	TimeoutMS int64   `json:"timeout_ms,omitempty"`
 }
@@ -103,6 +103,10 @@ func (s *Server) handleTVLA(w http.ResponseWriter, r *http.Request) {
 	if req.TracesPerGroup < 2 || req.TracesPerGroup > maxTVLATraces {
 		writeError(w, http.StatusBadRequest,
 			"traces_per_group must be in [2, %d]", maxTVLATraces)
+		return
+	}
+	if req.NoiseStd < 0 {
+		writeError(w, http.StatusBadRequest, "noise_std must be non-negative")
 		return
 	}
 	seed := req.Seed

@@ -8,28 +8,18 @@ import "fmt"
 // per-cycle correlations averaged. The result is in [−1, 1]; the paper
 // reports it as a percentage (94.1% on its benchmark).
 func CycleAccuracy(real, sim []float64, samplesPerCycle int) (float64, error) {
-	if samplesPerCycle < 1 {
-		return 0, fmt.Errorf("signal: samplesPerCycle %d < 1", samplesPerCycle)
+	per, err := PerCycleCorrelation(real, sim, samplesPerCycle)
+	if err != nil {
+		return 0, err
 	}
-	if len(real) != len(sim) {
-		return 0, fmt.Errorf("signal: length mismatch %d vs %d", len(real), len(sim))
-	}
-	cycles := len(real) / samplesPerCycle
-	if cycles == 0 {
+	if len(per) == 0 {
 		return 0, fmt.Errorf("signal: fewer samples (%d) than one cycle (%d)", len(real), samplesPerCycle)
 	}
-	a := NormalizeMeanAbs(real)
-	b := NormalizeMeanAbs(sim)
 	sum := 0.0
-	for c := 0; c < cycles; c++ {
-		lo, hi := c*samplesPerCycle, (c+1)*samplesPerCycle
-		ncc, err := NCC(a[lo:hi], b[lo:hi])
-		if err != nil {
-			return 0, err
-		}
+	for _, ncc := range per {
 		sum += ncc
 	}
-	return sum / float64(cycles), nil
+	return sum / float64(len(per)), nil
 }
 
 // PerCycleCorrelation returns the cycle-by-cycle normalized

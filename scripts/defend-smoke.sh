@@ -4,7 +4,8 @@
 # the same seed must produce byte-identical JSON reports across repeated
 # runs AND across worker counts (the per-trace randomization streams are
 # keyed by trace index, not by worker scheduling). It also checks the
-# report carries the sections a designer acts on.
+# report carries the sections a designer acts on, and that a -model
+# file that does not load stops the run instead of being overwritten.
 set -euo pipefail
 
 TMP="$(mktemp -d)"
@@ -14,6 +15,19 @@ MODEL="$TMP/model.json"
 
 echo "== build"
 go build -o "$BIN" ./cmd/emsim-defend
+
+# A model file that exists but does not load (corrupt, or from another
+# model-file version) must stop the run: retraining would overwrite it.
+echo "== an unreadable model file is an error and is left as it was"
+BAD="$TMP/bad-model.json"
+printf '{"version": 99, "model": null}' >"$BAD"
+cp "$BAD" "$TMP/bad-model.orig"
+if "$BIN" -quick -model "$BAD" -tvla-traces 4 -cpa-traces 12 -cpa-step 4 \
+     >/dev/null 2>"$TMP/bad.err"; then
+  echo "emsim-defend accepted an unreadable model file" >&2; exit 1
+fi
+cmp "$BAD" "$TMP/bad-model.orig" || {
+  echo "emsim-defend overwrote an unreadable model file" >&2; exit 1; }
 
 # One quick training campaign, cached; every evaluation run loads it so
 # the determinism comparison only exercises the defend path.
