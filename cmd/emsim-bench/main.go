@@ -13,13 +13,15 @@
 // bounds the Figure 8 benchmark size (0 = all 17 groups, the recorded
 // configuration). -quick shrinks the training campaign for a fast smoke
 // run. -train-workers sets the measurement fan-out width of every
-// training campaign (0 = GOMAXPROCS).
+// training campaign (0 = GOMAXPROCS). A failed experiment does not stop
+// the others; the command then exits with status 1, naming each one.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"emsim/internal/core"
@@ -79,6 +81,7 @@ func main() {
 	}
 
 	ran := 0
+	var failed []string
 	for _, e := range all {
 		if *which != "all" && *which != e.name {
 			continue
@@ -88,6 +91,7 @@ func main() {
 		r, err := e.run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			failed = append(failed, e.name)
 			continue
 		}
 		fmt.Println(r)
@@ -98,6 +102,9 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Fprintf(os.Stderr, "total %.1fs\n", time.Since(start).Seconds())
+	if len(failed) > 0 {
+		fatal(fmt.Errorf("%d experiment(s) failed: %s", len(failed), strings.Join(failed, " ")))
+	}
 }
 
 func fatal(err error) {

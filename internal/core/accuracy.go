@@ -35,9 +35,7 @@ func (m *Model) CompareOnDevice(dev *device.Device, words []uint32, runs int) (*
 	if err != nil {
 		return nil, err
 	}
-	cfg := dev.Options().CPU
-	cfg.BuggyMul = false // the model simulates the intended design
-	sess, err := NewSession(m, cfg)
+	sess, err := NewSession(m, ModelConfig(dev))
 	if err != nil {
 		return nil, err
 	}

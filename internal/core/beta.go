@@ -16,9 +16,7 @@ func (m *Model) probeFit(dev *device.Device, words []uint32, runs int) (*stats.R
 	if err != nil {
 		return nil, err
 	}
-	cfg := dev.Options().CPU
-	cfg.BuggyMul = false
-	c, err := cpu.New(cfg)
+	c, err := cpu.New(ModelConfig(dev))
 	if err != nil {
 		return nil, err
 	}
@@ -30,20 +28,9 @@ func (m *Model) probeFit(dev *device.Device, words []uint32, runs int) (*stats.R
 	if base.Beta != nil {
 		base = m.WithBeta([cpu.NumStages]float64{1, 1, 1, 1, 1})
 	}
-	var feats [][]float64
-	err = replay(c, []measurement{{words: words, amps: amps}}, func(cy *cpu.Cycle, _ float64) {
-		fv := make([]float64, cpu.NumStages)
-		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
-			fv[s] = base.stageSource(s, &cy.Stages[s], false)
-		}
-		feats = append(feats, fv)
-	})
+	fit, _, _, err := base.stageFit(c, []measurement{{words: words, amps: amps}})
 	if err != nil {
 		return nil, fmt.Errorf("core: probe calibration: %w", err)
-	}
-	fit, err := stats.LinearRegression(feats, amps)
-	if err != nil {
-		return nil, fmt.Errorf("core: probe calibration regression: %w", err)
 	}
 	return fit, nil
 }

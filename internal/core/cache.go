@@ -1,9 +1,6 @@
 package core
 
-import (
-	"hash/fnv"
-	"sync"
-)
+import "sync"
 
 // The measurement campaign is the dominant cost of training: every
 // averaged capture simulates the program and draws `runs` passes of
@@ -23,21 +20,7 @@ import (
 type measurementKey struct {
 	device  uint64 // device.Fingerprint()
 	runs    int    // averaging depth
-	program uint64 // FNV-1a of the program words
-}
-
-// hashProgram computes the program component of a measurement key.
-func hashProgram(words []uint32) uint64 {
-	h := fnv.New64a()
-	var b [4]byte
-	for _, w := range words {
-		b[0] = byte(w)
-		b[1] = byte(w >> 8)
-		b[2] = byte(w >> 16)
-		b[3] = byte(w >> 24)
-		h.Write(b[:])
-	}
-	return h.Sum64()
+	program uint64 // par.HashWords of the program words
 }
 
 // CacheStats reports a cache's effectiveness.

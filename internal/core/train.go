@@ -258,14 +258,14 @@ func (t *Trainer) fitActivity(m *Model, meas []measurement) error {
 	return nil
 }
 
-// fitMISO fits the final combination (Equ. 9): measured amplitudes
-// against the per-stage source values of the current model, over mixed
-// programs where all clusters share the pipeline.
-func (t *Trainer) fitMISO(m *Model, meas []measurement) error {
-	var feats [][]float64
-	var single [][]float64
+// stageFit is the Equ. 9 regression: it replays meas on core and fits
+// the extracted amplitudes against m's per-stage sources u_s. It also
+// returns each cycle's summed sources, the single-source ablation's
+// regressor, and the amplitudes, in replay order.
+func (m *Model) stageFit(core *cpu.CPU, meas []measurement) (*stats.RegressionResult, [][]float64, []float64, error) {
+	var feats, single [][]float64
 	var ys []float64
-	err := replay(t.core, meas, func(c *cpu.Cycle, amp float64) {
+	err := replay(core, meas, func(c *cpu.Cycle, amp float64) {
 		fv := make([]float64, cpu.NumStages)
 		sum := 0.0
 		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
@@ -277,9 +277,16 @@ func (t *Trainer) fitMISO(m *Model, meas []measurement) error {
 		ys = append(ys, amp)
 	})
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	fit, err := stats.LinearRegression(feats, ys)
+	return fit, single, ys, err
+}
+
+// fitMISO fits the final combination (Equ. 9) over mixed programs,
+// where all clusters share the pipeline.
+func (t *Trainer) fitMISO(m *Model, meas []measurement) error {
+	fit, single, ys, err := m.stageFit(t.core, meas)
 	if err != nil {
 		return err
 	}

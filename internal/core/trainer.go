@@ -113,18 +113,24 @@ type Trainer struct {
 	timings    [NumPhases]time.Duration
 }
 
-// NewTrainer prepares a training session against dev. The model core is
-// configured identically to the device's core — with the hardware-defect
-// switch cleared, since EMSim simulates the *intended* design (that gap
-// is exactly what the Figure 11 debugging use-case detects).
+// ModelConfig is the configuration of the model's core for dev: the
+// device's core with the hardware-defect switch cleared, since EMSim
+// simulates the *intended* design (that gap is exactly what the
+// Figure 11 debugging use-case detects).
+func ModelConfig(dev *device.Device) cpu.Config {
+	cfg := dev.Options().CPU
+	cfg.BuggyMul = false
+	return cfg
+}
+
+// NewTrainer prepares a training session against dev. The fits replay
+// programs on one model core, configured by ModelConfig.
 func NewTrainer(dev *device.Device, opts TrainOptions) (*Trainer, error) {
 	opts.setDefaults()
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("core: negative training worker count %d", opts.Workers)
 	}
-	cfg := dev.Options().CPU
-	cfg.BuggyMul = false
-	core, err := cpu.New(cfg)
+	core, err := cpu.New(ModelConfig(dev))
 	if err != nil {
 		return nil, err
 	}
@@ -155,10 +161,7 @@ const (
 // options alone: growing one phase's campaign, or reordering its
 // measurements, never perturbs the programs of another.
 func trainStream(seed int64, p Phase, index int64) *rand.Rand {
-	z := uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(p)*0xD1B54A32D192ED03 ^ uint64(index)*0x8CB92BA72F3D8DD7
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return rand.New(rand.NewSource(int64(z ^ (z >> 31))))
+	return rand.New(rand.NewSource(int64(par.Stream(seed, uint64(p), uint64(index)))))
 }
 
 // Run executes the campaign: measure and fit each phase in DAG order,
@@ -325,7 +328,7 @@ func (t *Trainer) newWorker() (*trainWorker, error) {
 func (t *Trainer) measureOne(ctx context.Context, w *trainWorker, words []uint32) ([]float64, error) {
 	obs.Begin(spanMeasure, w.lane)
 	defer obs.End(spanMeasure, w.lane)
-	key := measurementKey{device: t.fp, runs: t.opts.Runs, program: hashProgram(words)}
+	key := measurementKey{device: t.fp, runs: t.opts.Runs, program: par.HashWords(words)}
 	if y := t.opts.Cache.get(key); y != nil {
 		return y, nil
 	}

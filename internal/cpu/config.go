@@ -54,8 +54,7 @@ type Config struct {
 	// Predictor selects the branch direction predictor.
 	Predictor PredictorKind
 	// MulLatency is the number of EX cycles a multiply occupies
-	// (the paper's multiplier takes 3 cycles, cf. Figure 11; Figure 5
-	// raises it to 8 for clarity).
+	// (the paper's multiplier takes 3 cycles, cf. Figure 11).
 	MulLatency int
 	// DivLatency is the number of EX cycles a divide/remainder occupies.
 	DivLatency int

@@ -1,8 +1,10 @@
 package defend
 
+import "emsim/internal/par"
+
 // Randomization plumbing. Every random decision a countermeasure or the
 // evaluation harness makes is drawn from a stream keyed by (campaign
-// seed, lane, index) — the Trainer's keyed-stream pattern — so a given
+// seed, lane, index) — par.Stream, as the Trainer's streams — so a given
 // trace's randomization is a pure function of its identity, not of which
 // worker simulated it or in what order. That is what makes defended
 // campaigns byte-identical at any worker count.
@@ -18,13 +20,9 @@ const (
 	lanePart                  // derives per-campaign-part session seeds
 )
 
-// stream mixes (seed, lane, index) into one well-distributed 64-bit
-// stream seed (splitmix64-style finalizer).
+// stream is par.Stream keyed by one of the campaign's lanes.
 func stream(seed int64, l lane, index int64) uint64 {
-	z := uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(l)*0xD1B54A32D192ED03 ^ uint64(index)*0x8CB92BA72F3D8DD7
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return par.Stream(seed, uint64(l), uint64(index))
 }
 
 // prng is a splitmix64 generator small enough to live inside
@@ -39,10 +37,7 @@ func newPRNG(seed uint64) prng { return prng{state: seed} }
 //emsim:noalloc
 func (p *prng) next() uint64 {
 	p.state += 0x9E3779B97F4A7C15
-	z := p.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return par.Mix(p.state)
 }
 
 // intn returns a value in [0, n). The modulo bias is negligible for the

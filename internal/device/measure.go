@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"emsim/internal/cpu"
+	"emsim/internal/par"
 )
 
 // This file is the parallel-measurement surface of the synthetic bench.
@@ -32,22 +33,10 @@ func (d *Device) Fingerprint() uint64 {
 }
 
 // programNoiseSeed derives the seed of one program's noise stream from
-// the device noise seed and the program content (FNV-1a over the words,
-// finalized with a splitmix64 step so adjacent seeds decorrelate).
+// the device noise seed and the program content (the program hash,
+// finalized with par.Mix so adjacent seeds decorrelate).
 func programNoiseSeed(noiseSeed int64, words []uint32) int64 {
-	h := fnv.New64a()
-	var b [4]byte
-	for _, w := range words {
-		b[0] = byte(w)
-		b[1] = byte(w >> 8)
-		b[2] = byte(w >> 16)
-		b[3] = byte(w >> 24)
-		h.Write(b[:])
-	}
-	z := h.Sum64() ^ uint64(noiseSeed)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
+	return int64(par.Mix(par.HashWords(words) ^ uint64(noiseSeed)*0x9E3779B97F4A7C15))
 }
 
 // Measurer is one independent measurement replica of a Device: it shares

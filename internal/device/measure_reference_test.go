@@ -275,3 +275,12 @@ func TestMeasureAveragedCancelled(t *testing.T) {
 		t.Fatal("zero runs accepted")
 	}
 }
+
+// TestProgramNoiseSeed pins the per-program noise seed to the value the
+// device drew before the seed was built on par.HashWords and par.Mix,
+// so every Measurer capture keeps its noise.
+func TestProgramNoiseSeed(t *testing.T) {
+	if got, want := programNoiseSeed(1, []uint32{0x13, 0x100073}), int64(3639400488017616310); got != want {
+		t.Fatalf("programNoiseSeed = %d, want %d", got, want)
+	}
+}

@@ -259,9 +259,7 @@ func (e *Env) Figure11() (*Figure11Result, error) {
 	}
 
 	// Locate the MUL execute cycles in the reference trace.
-	cfg := e.Dev.Options().CPU
-	cfg.BuggyMul = false
-	c := cpu.MustNew(cfg)
+	c := cpu.MustNew(core.ModelConfig(e.Dev))
 	tr, err := c.RunProgram(words)
 	if err != nil {
 		return nil, err

@@ -81,32 +81,42 @@ type TVLAResult struct {
 // buffered; equivalence with the two-pass stats.TVLATrace is pinned by
 // tests and the FuzzStreamEquivalence target.
 func TVLA(src TraceSource, fixed [16]byte, rng *rand.Rand, tracesPerGroup int) (*TVLAResult, error) {
-	if tracesPerGroup < 2 {
-		return nil, fmt.Errorf("leakage: TVLA needs >= 2 traces per group (got %d)", tracesPerGroup)
-	}
 	st := NewTVLAStream()
+	if err := st.Collect(src, fixed, rng, tracesPerGroup); err != nil {
+		return nil, err
+	}
+	return st.Snapshot()
+}
+
+// Collect is the one fixed-vs-random pair loop: per pair, a trace of
+// the fixed input, then one of a random input read from rng; both are
+// folded in once the pair is complete.
+func (s *TVLAStream) Collect(src TraceSource, fixed [16]byte, rng *rand.Rand, tracesPerGroup int) error {
+	if tracesPerGroup < 2 {
+		return fmt.Errorf("leakage: TVLA needs >= 2 traces per group (got %d)", tracesPerGroup)
+	}
 	for i := 0; i < tracesPerGroup; i++ {
 		tf, err := src(fixed)
 		if err != nil {
-			return nil, fmt.Errorf("leakage: fixed trace %d: %w", i, err)
+			return fmt.Errorf("leakage: fixed trace %d: %w", i, err)
 		}
 		var input [16]byte
 		rng.Read(input[:])
 		tr, err := src(input)
 		if err != nil {
-			return nil, fmt.Errorf("leakage: random trace %d: %w", i, err)
+			return fmt.Errorf("leakage: random trace %d: %w", i, err)
 		}
-		if err := st.AddFixed(tf); err != nil {
-			return nil, err
+		if err := s.AddFixed(tf); err != nil {
+			return err
 		}
-		if err := st.AddRandom(tr); err != nil {
-			return nil, err
+		if err := s.AddRandom(tr); err != nil {
+			return err
 		}
 	}
-	if st.Samples() == 0 {
-		return nil, fmt.Errorf("leakage: empty traces")
+	if s.Samples() == 0 {
+		return fmt.Errorf("leakage: empty traces")
 	}
-	return st.Snapshot()
+	return nil
 }
 
 func abs(v float64) float64 {

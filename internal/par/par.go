@@ -1,8 +1,11 @@
-// Package par is the module's one ordered fan-out: it spreads indexed
-// work across a fixed set of goroutines and hands the results back in
-// index order, so a reduction over them is byte-identical at any worker
+// Package par holds the two halves of the determinism contract (DESIGN
+// §11). Ordered is the one ordered fan-out: it spreads indexed work
+// across a fixed set of goroutines and hands the results back in index
+// order, so a reduction over them is byte-identical at any worker
 // count. Batch simulation, the trainer's measurement campaign and the
-// defense evaluator's trace stream all run on it.
+// defense evaluator's trace stream all run on it. Stream, Mix and
+// HashWords are the one recipe for keyed random streams and program
+// hashes.
 package par
 
 import (

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,9 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"emsim/internal/aes"
 	"emsim/internal/core"
 	"emsim/internal/cpu"
 	"emsim/internal/device"
+	"emsim/internal/leakage"
 )
 
 var (
@@ -25,7 +29,7 @@ var (
 
 // serveTestModel trains one small deterministic model for every test in
 // the package.
-func serveTestModel(t *testing.T) *core.Model {
+func serveTestModel(t testing.TB) *core.Model {
 	t.Helper()
 	modelOnce.Do(func() {
 		dev := device.MustNew(device.DefaultOptions())
@@ -439,6 +443,62 @@ func TestTVLAEndpoint(t *testing.T) {
 	for i, bad := range badCases {
 		if r, _ := postJSON(t, ts.URL+"/v1/tvla", bad); r.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad case %d: status %d, want 400", i, r.StatusCode)
+		}
+	}
+}
+
+// TestTVLAMatchesLibrary pins that /v1/tvla runs the library's TVLA
+// campaign: leakage.TVLA over a session-backed SimSource, with the
+// handler's seeds (seed for the random inputs, seed+1 for the noise),
+// yields the served statistic bit for bit.
+func TestTVLAMatchesLibrary(t *testing.T) {
+	m := serveTestModel(t)
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const keyHex, fixedHex = "2b7e151628aed2a6abf7158809cf4f3c", "74766c612d66697865642d696e707574"
+	key, _ := decodeBlock("key_hex", keyHex)
+	fixed, _ := decodeBlock("fixed_hex", fixedHex)
+	const seed, traces = 5, 3
+	for _, std := range []float64{0, 0.05} {
+		resp, data := postJSON(t, ts.URL+"/v1/tvla", tvlaRequest{
+			KeyHex:         keyHex,
+			FixedHex:       fixedHex,
+			TracesPerGroup: traces,
+			Seed:           seed,
+			NoiseStd:       std,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("noise %v: status %d: %s", std, resp.StatusCode, data)
+		}
+		var got tvlaResponse
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+
+		sess, err := core.NewSession(m, cpu.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := func(in [16]byte) ([]uint32, error) {
+			prog, err := aes.BuildProgram(key, in)
+			if err != nil {
+				return nil, err
+			}
+			return prog.Words, nil
+		}
+		var noise func() float64
+		if std > 0 {
+			nrng := rand.New(rand.NewSource(seed + 1))
+			noise = func() float64 { return std * nrng.NormFloat64() }
+		}
+		want, err := leakage.TVLA(leakage.SimSource(sess, build, noise), fixed, rand.New(rand.NewSource(seed)), traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.MaxAbsT) != math.Float64bits(finiteT(want.MaxAbsT)) ||
+			got.LeakyCount != len(want.LeakyPoints) || got.Samples != len(want.T) || got.TracesPerGroup != want.Traces {
+			t.Errorf("noise %v: served max_abs_t %v, leaky_count %d, samples %d, traces_per_group %d; library %v, %d, %d, %d",
+				std, got.MaxAbsT, got.LeakyCount, got.Samples, got.TracesPerGroup,
+				finiteT(want.MaxAbsT), len(want.LeakyPoints), len(want.T), want.Traces)
 		}
 	}
 }

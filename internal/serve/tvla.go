@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -138,6 +137,7 @@ func (s *Server) handleTVLA(w http.ResponseWriter, r *http.Request) {
 					return nil, err
 				}
 				cycles += sess.Cycles()
+				s.met.tvlaTraces.Add(1)
 				if req.NoiseStd > 0 {
 					for i := range sig {
 						sig[i] += req.NoiseStd * noise.NormFloat64()
@@ -145,34 +145,12 @@ func (s *Server) handleTVLA(w http.ResponseWriter, r *http.Request) {
 				}
 				return sig, nil
 			}
-			// One pass: each trace folds into the stream's running moments
-			// and is discarded, so the campaign never buffers; the final
-			// statistic extraction is the only analysis cost and gets its
-			// own span + histogram. The RNG draw order matches leakage.TVLA
-			// exactly, so results are byte-identical to the batch wrapper.
-			rng := rand.New(rand.NewSource(seed))
+			// Each trace folds into the stream and is discarded; the final
+			// statistic extraction gets its own span and histogram. Collect
+			// is leakage.TVLA's pair loop, so the result equals the library's.
 			st := leakage.NewTVLAStream()
-			for i := 0; i < req.TracesPerGroup; i++ {
-				tf, err := src(fixed)
-				if err != nil {
-					return cycles, fmt.Errorf("fixed trace %d: %w", i, err)
-				}
-				var input [16]byte
-				rng.Read(input[:])
-				tr, err := src(input)
-				if err != nil {
-					return cycles, fmt.Errorf("random trace %d: %w", i, err)
-				}
-				if err := st.AddFixed(tf); err != nil {
-					return cycles, err
-				}
-				if err := st.AddRandom(tr); err != nil {
-					return cycles, err
-				}
-				s.met.tvlaTraces.Add(2)
-			}
-			if st.Samples() == 0 {
-				return cycles, errors.New("empty traces")
+			if err := st.Collect(src, fixed, rand.New(rand.NewSource(seed)), req.TracesPerGroup); err != nil {
+				return cycles, err
 			}
 			lane := obs.NextLane()
 			start := time.Now()
