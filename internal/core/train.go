@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"emsim/internal/cpu"
@@ -32,11 +33,13 @@ type TrainOptions struct {
 	// MixedPrograms and MixedLength size the phase-3 campaign.
 	// Defaults: 3 programs of 500 instructions.
 	MixedPrograms, MixedLength int
-	// Workers is the measurement fan-out width: how many device
-	// measurer replicas capture probe programs concurrently. The fitted
-	// model is byte-identical at every worker count (per-program noise
-	// streams plus ordered reduction), so this is purely a wall-clock
-	// knob. 0 selects GOMAXPROCS.
+	// Workers is the campaign's fan-out width: how many device measurer
+	// replicas capture probe programs concurrently, and how many
+	// goroutines share each step of the activity fit's stepwise update.
+	// The fitted model is byte-identical at every worker count
+	// (per-program noise streams, ordered reduction, and per-column sums
+	// that keep their order), so this is purely a wall-clock knob. 0
+	// selects GOMAXPROCS.
 	Workers int
 	// Progress, when non-nil, receives one event per phase start and
 	// per completed measurement. Worker goroutines invoke it
@@ -169,11 +172,44 @@ func featureOffsets() (offsets [cpu.NumStages]int, total int) {
 	return offsets, total
 }
 
+// flipRecord is one row of the activity fit: every stage's flip words
+// this cycle, zero for a stalled stage, which is gated and contributes
+// no switching noise. Bit b of word w of stage s is the global feature
+// offsets[s]+32·w+b of featureOffsets.
+type flipRecord [cpu.NumStages][cpu.MaxLatchWords]uint32
+
+// recordFlips returns c's activity-fit record, and whether c is a row of
+// the fit at all: one where any stage flips, stalled stages included.
+func recordFlips(c *cpu.Cycle) (rec flipRecord, active bool) {
+	for s := range c.Stages {
+		st := &c.Stages[s]
+		active = active || st.FlipCount() != 0
+		if !st.Stalled {
+			rec[s] = st.Flip
+		}
+	}
+	return rec, active
+}
+
+// flipColumn writes global feature f of every record into dst, as 0 or 1.
+func flipColumn(recs []flipRecord, offsets [cpu.NumStages]int, f int, dst []float64) {
+	s := cpu.Stage(0)
+	for s+1 < cpu.NumStages && f >= offsets[s+1] {
+		s++
+	}
+	w, b := (f-offsets[s])/32, uint(f-offsets[s])%32
+	for i := range recs {
+		dst[i] = float64(recs[i][s][w] >> b & 1)
+	}
+}
+
 // fitActivity fits the data-dependent activity term on the residuals of
 // the phase-1 model, with stepwise selection over every stage's
 // transition bits (the paper's pruning of T), plus the equal-weight
-// fallback of Equ. 7 for the Figure 3 ablation.
-func (t *Trainer) fitActivity(m *Model, meas []measurement) error {
+// fallback of Equ. 7 for the Figure 3 ablation. The selection builds its
+// 0/1 columns from per-cycle flip records and shares each step's update
+// across the campaign's Workers.
+func (t *Trainer) fitActivity(ctx context.Context, m *Model, meas []measurement) error {
 	offsets, total := featureOffsets()
 
 	base := m.WithOptions(ModelOptions{
@@ -184,32 +220,14 @@ func (t *Trainer) fitActivity(m *Model, meas []measurement) error {
 		ModelFlush:      true,
 	})
 
-	var feats [][]float64
+	var recs []flipRecord
 	var resid []float64
 	err := replay(t.core, meas, func(c *cpu.Cycle, amp float64) {
-		flips := 0
-		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
-			flips += c.Stages[s].FlipCount()
-		}
-		if flips == 0 {
+		rec, active := recordFlips(c)
+		if !active {
 			return
 		}
-		fv := make([]float64, total)
-		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
-			st := &c.Stages[s]
-			if st.Stalled {
-				continue // gated stages contribute no switching noise
-			}
-			for w := 0; w < cpu.LatchWords(s); w++ {
-				f := st.Flip[w]
-				for b := 0; f != 0 && b < 32; b++ {
-					if f&(1<<uint(b)) != 0 {
-						fv[offsets[s]+32*w+b] = 1
-					}
-				}
-			}
-		}
-		feats = append(feats, fv)
+		recs = append(recs, rec)
 		resid = append(resid, amp-base.CycleAmplitude(c))
 	})
 	if err != nil {
@@ -223,17 +241,20 @@ func (t *Trainer) fitActivity(m *Model, meas []measurement) error {
 	const maxSamples = 4000
 	if len(resid) > maxSamples {
 		stride := (len(resid) + maxSamples - 1) / maxSamples
-		var f2 [][]float64
+		var rec2 []flipRecord
 		var r2 []float64
 		for i := 0; i < len(resid); i += stride {
-			f2 = append(f2, feats[i])
+			rec2 = append(rec2, recs[i])
 			r2 = append(r2, resid[i])
 		}
-		feats, resid = f2, r2
+		recs, resid = rec2, r2
 	}
 
-	sw, err := stats.StepwiseRegression(feats, resid, stats.StepwiseOptions{
+	sw, err := stats.StepwiseColumns(ctx, total, func(f int, dst []float64) {
+		flipColumn(recs, offsets, f, dst)
+	}, resid, stats.StepwiseOptions{
 		MaxPredictors: t.opts.MaxActivityBits,
+		Workers:       t.opts.Workers,
 	})
 	if err != nil {
 		return err

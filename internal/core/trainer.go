@@ -242,7 +242,7 @@ func (t *Trainer) Run(ctx context.Context) (*Model, error) {
 		if err != nil {
 			return err
 		}
-		return t.fitActivity(m, meas)
+		return t.fitActivity(ctx, m, meas)
 	})
 	if err != nil {
 		return nil, err

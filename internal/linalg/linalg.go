@@ -83,7 +83,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 			}
 			bk := b.Row(k)
 			for j := range oi {
-				oi[j] += a * bk[j]
+				oi[j] += float64(a * bk[j])
 			}
 		}
 	}
@@ -100,7 +100,7 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		row := m.Row(i)
 		s := 0.0
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		out[i] = s
 	}
@@ -114,93 +114,139 @@ func Dot(a, b []float64) float64 {
 	}
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
 
 // LeastSquares solves min ‖A·x − b‖₂ via Householder QR with column checks.
 // A must have Rows >= Cols and full column rank (within eps); otherwise an
-// error is returned.
+// error is returned. The solve runs on a column-major copy of A (see
+// LeastSquaresColumns).
 func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	if a.Rows != len(b) {
 		return nil, fmt.Errorf("linalg: A has %d rows but b has %d entries", a.Rows, len(b))
 	}
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("linalg: underdetermined system %dx%d", a.Rows, a.Cols)
+	m := a.Rows
+	buf := make([]float64, m*a.Cols)
+	cols := make([][]float64, a.Cols)
+	for j := range cols {
+		col := buf[j*m : (j+1)*m : (j+1)*m]
+		for i := range col {
+			col[i] = a.At(i, j)
+		}
+		cols[j] = col
 	}
-	m, n := a.Rows, a.Cols
-	r := a.Clone()
-	y := make([]float64, m)
-	copy(y, b)
+	return LeastSquaresColumns(cols, b)
+}
+
+// LeastSquaresColumns is LeastSquares with A given as its columns, each
+// len(b) entries long. It factors A in place: the columns are
+// overwritten.
+//
+// The Householder loops walk contiguous columns and apply each reflector
+// to four columns per pass over it. Every column's sum still runs in row
+// order, so the solution is bit-identical to one column at a time.
+func LeastSquaresColumns(cols [][]float64, b []float64) ([]float64, error) {
+	m, n := len(b), len(cols)
+	for j, col := range cols {
+		if len(col) != m {
+			return nil, fmt.Errorf("linalg: A has %d rows but b has %d entries (column %d)", len(col), m, j)
+		}
+	}
+	if m < n {
+		return nil, fmt.Errorf("linalg: underdetermined system %dx%d", m, n)
+	}
 
 	// Rank-deficiency tolerance relative to the matrix magnitude.
 	scale := 0.0
-	for _, v := range a.Data {
-		if av := math.Abs(v); av > scale {
-			scale = av
+	for _, col := range cols {
+		for _, v := range col {
+			if av := math.Abs(v); av > scale {
+				scale = av
+			}
 		}
 	}
 	tol := 1e-12 * scale * float64(m)
 
-	// Householder QR, applying reflections to y as we go.
+	// Householder QR; y rides along as one more column, so each
+	// reflection reaches it exactly as it reaches A.
+	y := append([]float64(nil), b...)
+	work := append(cols[:n:n], y)
 	for k := 0; k < n; k++ {
 		// Build the reflector for column k below the diagonal.
+		v := work[k][k:]
 		norm := 0.0
-		for i := k; i < m; i++ {
-			norm = math.Hypot(norm, r.At(i, k))
+		for _, e := range v {
+			norm = math.Hypot(norm, e)
 		}
 		if norm <= tol {
 			return nil, fmt.Errorf("linalg: rank-deficient matrix (column %d)", k)
 		}
 		// Choose the reflection sign that moves the pivot away from zero
 		// (avoids cancellation in the v_k = 1 + a_kk/norm term).
-		if r.At(k, k) < 0 {
+		if v[0] < 0 {
 			norm = -norm
 		}
-		for i := k; i < m; i++ {
-			r.Set(i, k, r.At(i, k)/norm)
+		for i := range v {
+			v[i] /= norm
 		}
-		r.Set(k, k, r.At(k, k)+1)
-
-		// Apply to remaining columns.
-		for j := k + 1; j < n; j++ {
-			s := 0.0
-			for i := k; i < m; i++ {
-				s += r.At(i, k) * r.At(i, j)
-			}
-			s = -s / r.At(k, k)
-			for i := k; i < m; i++ {
-				r.Set(i, j, r.At(i, j)+s*r.At(i, k))
-			}
-		}
-		// Apply to y.
-		s := 0.0
-		for i := k; i < m; i++ {
-			s += r.At(i, k) * y[i]
-		}
-		s = -s / r.At(k, k)
-		for i := k; i < m; i++ {
-			y[i] += s * r.At(i, k)
-		}
-		r.Set(k, k, -norm) // R's diagonal; the reflector's v is dead now
+		v[0]++
+		reflect(v, work[k+1:], k)
+		v[0] = -norm // R's diagonal; the reflector's v is dead now
 	}
 
 	// Back-substitute R·x = y[:n]; R's upper triangle (including the
-	// just-stored diagonal) lives in r.
+	// just-stored diagonal) lives in the columns: R[i][j] is cols[j][i].
 	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for j := i + 1; j < n; j++ {
-			s -= r.At(i, j) * x[j]
+			s -= float64(cols[j][i] * x[j])
 		}
-		d := r.At(i, i)
+		d := cols[i][i]
 		if math.Abs(d) < 1e-300 {
 			return nil, fmt.Errorf("linalg: singular R at %d", i)
 		}
 		x[i] = s / d
 	}
 	return x, nil
+}
+
+// reflect applies the Householder reflector v, whose pivot v[0] sits on
+// row k, to rows k and below of each column: c -= (v·c / v[0])·v. Four
+// columns share each pass over v; the tail runs the same sums one column
+// at a time.
+func reflect(v []float64, cols [][]float64, k int) {
+	for ; len(cols) >= 4; cols = cols[4:] {
+		c0, c1, c2, c3 := cols[0][k:], cols[1][k:], cols[2][k:], cols[3][k:]
+		c0, c1, c2, c3 = c0[:len(v)], c1[:len(v)], c2[:len(v)], c3[:len(v)]
+		var s0, s1, s2, s3 float64
+		for i, e := range v {
+			s0 += float64(e * c0[i])
+			s1 += float64(e * c1[i])
+			s2 += float64(e * c2[i])
+			s3 += float64(e * c3[i])
+		}
+		s0, s1, s2, s3 = -s0/v[0], -s1/v[0], -s2/v[0], -s3/v[0]
+		for i, e := range v {
+			c0[i] += float64(s0 * e)
+			c1[i] += float64(s1 * e)
+			c2[i] += float64(s2 * e)
+			c3[i] += float64(s3 * e)
+		}
+	}
+	for _, c := range cols {
+		c = c[k:][:len(v)]
+		s := 0.0
+		for i, e := range v {
+			s += float64(e * c[i])
+		}
+		s = -s / v[0]
+		for i, e := range v {
+			c[i] += float64(s * e)
+		}
+	}
 }
 
 // Cholesky factors a symmetric positive-definite matrix as L·Lᵀ and
@@ -215,7 +261,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 		for j := 0; j <= i; j++ {
 			s := a.At(i, j)
 			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+				s -= float64(l.At(i, k) * l.At(j, k))
 			}
 			if i == j {
 				if s <= 0 {
@@ -245,7 +291,7 @@ func SolveCholesky(a *Matrix, b []float64) ([]float64, error) {
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
+			s -= float64(l.At(i, k) * y[k])
 		}
 		y[i] = s / l.At(i, i)
 	}
@@ -254,7 +300,7 @@ func SolveCholesky(a *Matrix, b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
+			s -= float64(l.At(k, i) * x[k])
 		}
 		x[i] = s / l.At(i, i)
 	}

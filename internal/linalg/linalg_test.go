@@ -285,6 +285,33 @@ func BenchmarkLeastSquares100x20(b *testing.B) {
 	}
 }
 
+// BenchmarkLeastSquaresTrainingShape solves the activity fit's final
+// refit at its 80-bit cap: 3,957 rows of an intercept and 80 0/1
+// columns.
+func BenchmarkLeastSquaresTrainingShape(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	m, n := 3957, 81
+	a := NewMatrix(m, n)
+	rhs := make([]float64, m)
+	for j := 0; j < n; j++ {
+		density := 0.02 + 0.4*r.Float64()
+		for i := 0; i < m; i++ {
+			if j == 0 || r.Float64() < density {
+				a.Set(i, j, 1)
+			}
+		}
+	}
+	for i := range rhs {
+		rhs[i] = r.NormFloat64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LeastSquares(a, rhs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMatMul64(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
 	a := NewMatrix(64, 64)

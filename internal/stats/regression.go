@@ -1,10 +1,13 @@
 package stats
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"emsim/internal/linalg"
+	"emsim/internal/par"
 )
 
 // RegressionResult holds a fitted linear model y ≈ Intercept + X·Coef.
@@ -23,43 +26,89 @@ type RegressionResult struct {
 func (r *RegressionResult) Predict(x []float64) float64 {
 	s := r.Intercept
 	for j, c := range r.Coef {
-		s += c * x[j]
+		s += float64(c * x[j])
 	}
 	return s
 }
 
 // LinearRegression fits y ≈ δ + X·c by ordinary least squares, the model
 // form of Equ. 8 and Equ. 9 in the paper. X is given as rows of feature
-// vectors; all rows must share y's length.
+// vectors, one per entry of y, all of one width.
 func LinearRegression(x [][]float64, y []float64) (*RegressionResult, error) {
-	n := len(x)
-	if n == 0 || n != len(y) {
-		return nil, fmt.Errorf("stats: regression needs matching nonempty X (%d) and y (%d)", n, len(y))
+	if len(x) == 0 || len(x) != len(y) {
+		return nil, fmt.Errorf("stats: regression needs matching nonempty X (%d) and y (%d)", len(x), len(y))
 	}
+	p, err := rowWidth(x)
+	if err != nil {
+		return nil, err
+	}
+	return linearFit(p, rowColumn(x), y)
+}
+
+// rowWidth returns the width every row of x shares, or an error naming
+// the first row whose width differs from row 0's.
+func rowWidth(x [][]float64) (int, error) {
 	p := len(x[0])
-	a := linalg.NewMatrix(n, p+1)
 	for i, row := range x {
 		if len(row) != p {
-			return nil, fmt.Errorf("stats: ragged feature row %d", i)
-		}
-		a.Set(i, 0, 1) // intercept column
-		for j, v := range row {
-			a.Set(i, j+1, v)
+			return 0, fmt.Errorf("stats: ragged feature row %d", i)
 		}
 	}
-	beta, err := linalg.LeastSquares(a, y)
+	return p, nil
+}
+
+// rowColumn reads a design given as rows one column at a time, the form
+// linearFit and StepwiseColumns take.
+func rowColumn(x [][]float64) func(c int, dst []float64) {
+	return func(c int, dst []float64) {
+		for i, row := range x {
+			dst[i] = row[c]
+		}
+	}
+}
+
+// linearFit is LinearRegression over p predictor columns that col fills
+// (see StepwiseColumns). It fills each column twice: once into the
+// column-major design the solve consumes, and once to score the fit.
+func linearFit(p int, col func(c int, dst []float64), y []float64) (*RegressionResult, error) {
+	n := len(y)
+	buf := make([]float64, n*(p+1))
+	a := make([][]float64, p+1)
+	for j := range a {
+		a[j] = buf[j*n : (j+1)*n : (j+1)*n]
+	}
+	for i := range a[0] {
+		a[0][i] = 1 // intercept column
+	}
+	for j := 1; j <= p; j++ {
+		col(j-1, a[j])
+	}
+	beta, err := linalg.LeastSquaresColumns(a, y)
 	if err != nil {
 		return nil, fmt.Errorf("stats: regression solve: %w", err)
 	}
 	res := &RegressionResult{Intercept: beta[0], Coef: beta[1:], N: n, P: p}
 
+	// fit[i] is Predict of row i, summed a column at a time: each entry
+	// sees the same additions in the same order.
+	fit := make([]float64, n)
+	for i := range fit {
+		fit[i] = res.Intercept
+	}
+	xc := make([]float64, n)
+	for j, c := range res.Coef {
+		col(j, xc)
+		for i, v := range xc {
+			fit[i] += float64(c * v)
+		}
+	}
 	ybar := Mean(y)
 	var rss, tss float64
-	for i, row := range x {
-		e := y[i] - res.Predict(row)
-		rss += e * e
-		d := y[i] - ybar
-		tss += d * d
+	for i, v := range y {
+		e := v - fit[i]
+		rss += float64(e * e)
+		d := v - ybar
+		tss += float64(d * d)
 	}
 	res.RSS = rss
 	if tss > 0 {
@@ -76,7 +125,7 @@ func interceptOnlyRSS(y []float64) float64 {
 	s := 0.0
 	for _, v := range y {
 		d := v - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -136,6 +185,10 @@ type StepwiseOptions struct {
 	MaxPredictors int
 	// FEnter scales the F-to-enter threshold; 0 means 1.0 (the 5% level).
 	FEnter float64
+	// Workers is how many goroutines share each step's candidate update:
+	// 0 selects GOMAXPROCS, and 1 runs the update inline. The result is
+	// bit-identical at every width.
+	Workers int
 }
 
 // StepwiseRegression performs forward stepwise selection with an
@@ -143,23 +196,40 @@ type StepwiseOptions struct {
 // repeatedly adds the candidate predictor with the largest F statistic, as
 // long as that statistic exceeds the critical value. This is how the paper
 // prunes the transition-bit vector T by more than 65% without losing
-// accuracy.
-//
-// The implementation keeps every candidate column residualized against
-// the selected set (incremental modified Gram-Schmidt): when a column
-// enters the model, each remaining candidate is orthogonalized against
-// it once, so a full selection pass costs O(n·p·k) rather than the
-// O(n·p·k²) of re-orthogonalizing every candidate from scratch at every
-// step; the same pass refreshes each candidate's dot product with the
-// residual, so the scan needs no pass of its own. The scores are exactly
-// the OLS residual-sum-of-squares reductions, and ties break toward the
-// lowest column index, so the selection is deterministic.
+// accuracy. X is given as rows, one per entry of y, all of one width; the
+// selection itself is StepwiseColumns.
 func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*StepwiseResult, error) {
-	n := len(x)
-	if n == 0 || n != len(y) {
-		return nil, fmt.Errorf("stats: stepwise needs matching nonempty X (%d) and y (%d)", n, len(y))
+	if len(x) == 0 || len(x) != len(y) {
+		return nil, fmt.Errorf("stats: stepwise needs matching nonempty X (%d) and y (%d)", len(x), len(y))
 	}
-	p := len(x[0])
+	p, err := rowWidth(x)
+	if err != nil {
+		return nil, err
+	}
+	return StepwiseColumns(context.Background(), p, rowColumn(x), y, opts)
+}
+
+// StepwiseColumns is StepwiseRegression over p candidate columns of
+// len(y) samples that col fills on demand: col(c, dst) must write every
+// entry of dst with candidate c. It is called once per candidate to set
+// up, and twice per selected column for the final refit. A cancelled ctx
+// stops the selection at its next step.
+//
+// Every candidate column is kept residualized against the selected set
+// (incremental modified Gram-Schmidt): when a column enters the model,
+// each remaining candidate is orthogonalized against it once, so a full
+// selection pass costs O(n·p·k) rather than the O(n·p·k²) of
+// re-orthogonalizing every candidate from scratch at every step; the same
+// pass refreshes each candidate's dot product with the residual, so the
+// scan needs no pass of its own. That update runs on opts.Workers
+// goroutines (see foldAll). The scores are exactly the OLS
+// residual-sum-of-squares reductions, and ties break toward the lowest
+// column index, so the selection is deterministic.
+func StepwiseColumns(ctx context.Context, p int, col func(c int, dst []float64), y []float64, opts StepwiseOptions) (*StepwiseResult, error) {
+	n := len(y)
+	if n == 0 {
+		return nil, fmt.Errorf("stats: stepwise needs a nonempty y")
+	}
 	maxSel := p
 	if opts.MaxPredictors > 0 && opts.MaxPredictors < maxSel {
 		maxSel = opts.MaxPredictors
@@ -172,6 +242,10 @@ func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*Step
 	if fScale == 0 {
 		fScale = 1
 	}
+	width := opts.Workers
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
 
 	// The intercept is the first basis direction; the residual r tracks y
 	// minus its projection onto the model so far, and vc[c] tracks each
@@ -181,61 +255,69 @@ func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*Step
 	r := append([]float64(nil), y...)
 	g0 := 0.0
 	for _, v := range r {
-		g0 += v * q0
+		g0 += float64(v * q0)
 	}
 	for i := range r {
-		r[i] -= g0 * q0
+		r[i] -= float64(g0 * q0)
 	}
 	rssCur := linalg.Dot(r, r)
 
+	// live lists, in ascending order, the candidates that may still
+	// enter. One that enters, or whose residual norm falls to the
+	// collinearity tolerance, leaves for good: its column is never
+	// updated again, so the test that dropped it would drop it at every
+	// later step.
 	colNorm2 := make([]float64, p) // original norms, the collinearity yardstick
 	vc := make([][]float64, p)
 	vcNorm2 := make([]float64, p)
 	gr := make([]float64, p) // gr[c] = vc[c]·r, the scan's numerator
+	live := make([]int, 0, p)
+	v := make([]float64, n)
 	for c := 0; c < p; c++ {
-		v := make([]float64, n)
-		for i, row := range x {
-			if len(row) != p {
-				return nil, fmt.Errorf("stats: ragged feature row %d", i)
-			}
-			v[i] = row[c]
-		}
+		col(c, v)
 		colNorm2[c] = linalg.Dot(v, v)
 		g := 0.0
 		for _, e := range v {
-			g += e * q0
+			g += float64(e * q0)
 		}
 		for i := range v {
-			v[i] -= g * q0
+			v[i] -= float64(g * q0)
 		}
-		vc[c] = v
 		vcNorm2[c] = linalg.Dot(v, v)
+		// vcNorm2 is a sum of squares, so it is <= 0 only when exactly
+		// zero — the tolerance test alone covers the all-zero column.
+		if vcNorm2[c] <= 1e-12*colNorm2[c] {
+			continue // collinear with the intercept; v takes the next candidate
+		}
 		gr[c] = linalg.Dot(v, r)
+		vc[c] = v
+		live = append(live, c)
+		v = make([]float64, n)
 	}
 
 	selected := []int{}
-	inModel := make([]bool, p)
 	for len(selected) < maxSel {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		df2 := n - len(selected) - 2 // residual dof after adding one more
 		if df2 < 1 {
 			break
 		}
 		crit := fCriticalApprox(df2) * fScale
-		bestCol, bestDelta := -1, 0.0
-		for c := 0; c < p; c++ {
-			if inModel[c] {
-				continue
-			}
-			// vcNorm2 is a sum of squares, so it is <= 0 only when exactly
-			// zero — the tolerance test alone covers the all-zero column.
+		best, bestCol, bestDelta := -1, -1, 0.0
+		kept := live[:0]
+		for _, c := range live {
 			if vcNorm2[c] <= 1e-12*colNorm2[c] {
 				continue // (near-)collinear with the current model
 			}
 			delta := gr[c] * gr[c] / vcNorm2[c]
 			if delta > bestDelta {
-				bestCol, bestDelta = c, delta
+				best, bestCol, bestDelta = len(kept), c, delta
 			}
+			kept = append(kept, c)
 		}
+		live = kept
 		if bestCol < 0 {
 			break
 		}
@@ -249,12 +331,10 @@ func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*Step
 			break
 		}
 		selected = append(selected, bestCol)
-		inModel[bestCol] = true
+		live = append(live[:best], live[best+1:]...)
 		// The winner, normalized, is the next basis direction; fold it out
 		// of the residual and every remaining candidate (modified
-		// Gram-Schmidt step), refreshing each candidate's norm and its dot
-		// product with the new residual in the same pass. Both sums run in
-		// index order, exactly as linalg.Dot would over the updated column.
+		// Gram-Schmidt step).
 		q := vc[bestCol]
 		inv := 1 / math.Sqrt(vcNorm2[bestCol])
 		for i := range q {
@@ -262,51 +342,100 @@ func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*Step
 		}
 		g := linalg.Dot(q, r)
 		for i := range r {
-			r[i] -= g * q[i]
+			r[i] -= float64(g * q[i])
 		}
 		rssCur -= bestDelta
 		if rssCur < 0 {
 			rssCur = 0
 		}
-		for c := 0; c < p; c++ {
-			if inModel[c] || vcNorm2[c] <= 1e-12*colNorm2[c] {
-				continue
-			}
-			v := vc[c]
-			gc := linalg.Dot(q, v)
-			nrm, g := 0.0, 0.0
-			for i := range v {
-				v[i] -= gc * q[i]
-				nrm += v[i] * v[i]
-				g += v[i] * r[i]
-			}
-			vcNorm2[c], gr[c] = nrm, g
-		}
-	}
-
-	var model *RegressionResult
-	var err error
-	if len(selected) == 0 {
-		// Intercept-only model.
-		model, err = LinearRegression(make([][]float64, n), y)
-		if err != nil {
-			// An all-empty X is a zero-predictor regression; fit manually.
-			model = &RegressionResult{Intercept: Mean(y), Coef: nil, N: n, RSS: interceptOnlyRSS(y)}
-			err = nil
-		}
-	} else {
-		sub := make([][]float64, n)
-		for i, row := range x {
-			s := make([]float64, len(selected))
-			for k, c := range selected {
-				s[k] = row[c]
-			}
-			sub[i] = s
-		}
-		model, err = LinearRegression(sub, y)
-		if err != nil {
+		if err := foldAll(ctx, width, q, r, live, vc, vcNorm2, gr); err != nil {
 			return nil, err
 		}
 	}
+
+	model, err := linearFit(len(selected), func(k int, dst []float64) { col(selected[k], dst) }, y)
+	if err != nil {
+		if len(selected) > 0 {
+			return nil, err
+		}
+		// An intercept-only regression; fit it by hand.
+		model = &RegressionResult{Intercept: Mean(y), Coef: nil, N: n, RSS: interceptOnlyRSS(y)}
+	}
 	return &StepwiseResult{Selected: selected, Model: model, Dropped: p - len(selected)}, nil
+}
+
+// foldAll runs foldOut over the live candidates. At a width above one they
+// split into contiguous blocks of whole four-column groups, one per
+// goroutine on par.Ordered. A block writes only its own columns and their
+// vcNorm2 and gr entries, and no column's sums depend on the split, so
+// the result is bit-identical at every width.
+func foldAll(ctx context.Context, width int, q, r []float64, live []int, vc [][]float64, vcNorm2, gr []float64) error {
+	groups := (len(live) + 3) / 4
+	blocks := min(width, groups)
+	if blocks <= 1 {
+		foldOut(q, r, live, vc, vcNorm2, gr)
+		return nil
+	}
+	return par.Ordered(ctx, blocks, blocks,
+		func() (struct{}, error) { return struct{}{}, nil },
+		func(_ context.Context, _ struct{}, b int) (struct{}, error) {
+			lo, hi := 4*(b*groups/blocks), min(4*((b+1)*groups/blocks), len(live))
+			foldOut(q, r, live[lo:hi], vc, vcNorm2, gr)
+			return struct{}{}, nil
+		},
+		func(int, struct{}) error { return nil })
+}
+
+// foldOut folds the unit direction q out of each candidate column in cs
+// and refreshes the column's squared norm and its dot product with the
+// residual r. Four candidates share each pass over q and r; the tail runs
+// the same sums one column at a time. Every sum runs in index order, as
+// linalg.Dot does, so the result is bit-identical to updating one column
+// at a time.
+func foldOut(q, r []float64, cs []int, vc [][]float64, vcNorm2, gr []float64) {
+	r = r[:len(q)]
+	for ; len(cs) >= 4; cs = cs[4:] {
+		v0, v1, v2, v3 := vc[cs[0]][:len(q)], vc[cs[1]][:len(q)], vc[cs[2]][:len(q)], vc[cs[3]][:len(q)]
+		var d0, d1, d2, d3 float64
+		for i, qi := range q {
+			d0 += float64(qi * v0[i])
+			d1 += float64(qi * v1[i])
+			d2 += float64(qi * v2[i])
+			d3 += float64(qi * v3[i])
+		}
+		var n0, n1, n2, n3, g0, g1, g2, g3 float64
+		for i, qi := range q {
+			ri := r[i]
+			e := v0[i] - float64(d0*qi)
+			v0[i] = e
+			n0 += float64(e * e)
+			g0 += float64(e * ri)
+			e = v1[i] - float64(d1*qi)
+			v1[i] = e
+			n1 += float64(e * e)
+			g1 += float64(e * ri)
+			e = v2[i] - float64(d2*qi)
+			v2[i] = e
+			n2 += float64(e * e)
+			g2 += float64(e * ri)
+			e = v3[i] - float64(d3*qi)
+			v3[i] = e
+			n3 += float64(e * e)
+			g3 += float64(e * ri)
+		}
+		vcNorm2[cs[0]], vcNorm2[cs[1]], vcNorm2[cs[2]], vcNorm2[cs[3]] = n0, n1, n2, n3
+		gr[cs[0]], gr[cs[1]], gr[cs[2]], gr[cs[3]] = g0, g1, g2, g3
+	}
+	for _, c := range cs {
+		v := vc[c][:len(q)]
+		d := linalg.Dot(q, v)
+		nrm, g := 0.0, 0.0
+		for i, qi := range q {
+			e := v[i] - float64(d*qi)
+			v[i] = e
+			nrm += float64(e * e)
+			g += float64(e * r[i])
+		}
+		vcNorm2[c], gr[c] = nrm, g
+	}
 }

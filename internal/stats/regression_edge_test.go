@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -153,6 +155,14 @@ func TestStepwiseEdgeCases(t *testing.T) {
 		})
 	}
 
+	// A ragged X is an error wherever the short row sits, row 0 included.
+	for _, x := range [][][]float64{{{}, {1}, {2}, {3}}, {{1}, {}, {2}, {3}}} {
+		if _, err := StepwiseRegression(x, []float64{1, 2, 3, 4}, StepwiseOptions{}); err == nil ||
+			err.Error() != "stats: ragged feature row 1" {
+			t.Errorf("X = %v: err = %v, want ragged feature row 1", x, err)
+		}
+	}
+
 	t.Run("intercept-only model is the mean", func(t *testing.T) {
 		y := []float64{1, 2, 3, 4}
 		res, err := StepwiseRegression(design(zero, zero), y, StepwiseOptions{})
@@ -169,6 +179,18 @@ func TestStepwiseEdgeCases(t *testing.T) {
 			t.Errorf("RSS = %g, want %g", got, want)
 		}
 	})
+}
+
+// TestStepwiseColumnsStopsWhenCancelled checks that a cancelled context
+// ends the selection with the context's error instead of a model.
+func TestStepwiseColumnsStopsWhenCancelled(t *testing.T) {
+	x, y, _ := stepwiseProblem(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := StepwiseColumns(ctx, len(x[0]), rowColumn(x), y, StepwiseOptions{Workers: 2})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("StepwiseColumns on a cancelled context = %v, %v; want context.Canceled", res, err)
+	}
 }
 
 func equalInts(a, b []int) bool {

@@ -12,8 +12,11 @@ import (
 // referenceStepwise is StepwiseRegression as it was before the scan was
 // fused into the Gram-Schmidt update: each step scores every candidate
 // with its own pass over vc[c]·r, then projects, subtracts and re-norms
-// each remaining candidate in three more. Kept verbatim as the oracle
-// TestStepwiseMatchesReference holds the fused loop to, bit for bit.
+// each remaining candidate in three more, one column at a time, on one
+// goroutine. It is the oracle TestStepwiseMatchesReference holds the
+// blocked, parallel update to, bit for bit. Every product is rounded
+// before it is summed, as in the production code, so the oracle holds on
+// platforms that fuse multiply-adds too.
 func referenceStepwise(x [][]float64, y []float64, opts StepwiseOptions) (*StepwiseResult, error) {
 	n := len(x)
 	if n == 0 || n != len(y) {
@@ -41,10 +44,10 @@ func referenceStepwise(x [][]float64, y []float64, opts StepwiseOptions) (*Stepw
 	r := append([]float64(nil), y...)
 	g0 := 0.0
 	for _, v := range r {
-		g0 += v * q0
+		g0 += float64(v * q0)
 	}
 	for i := range r {
-		r[i] -= g0 * q0
+		r[i] -= float64(g0 * q0)
 	}
 	rssCur := linalg.Dot(r, r)
 
@@ -62,10 +65,10 @@ func referenceStepwise(x [][]float64, y []float64, opts StepwiseOptions) (*Stepw
 		colNorm2[c] = linalg.Dot(v, v)
 		g := 0.0
 		for _, e := range v {
-			g += e * q0
+			g += float64(e * q0)
 		}
 		for i := range v {
-			v[i] -= g * q0
+			v[i] -= float64(g * q0)
 		}
 		vc[c] = v
 		vcNorm2[c] = linalg.Dot(v, v)
@@ -119,7 +122,7 @@ func referenceStepwise(x [][]float64, y []float64, opts StepwiseOptions) (*Stepw
 		}
 		g := linalg.Dot(q, r)
 		for i := range r {
-			r[i] -= g * q[i]
+			r[i] -= float64(g * q[i])
 		}
 		rssCur -= bestDelta
 		if rssCur < 0 {
@@ -132,7 +135,7 @@ func referenceStepwise(x [][]float64, y []float64, opts StepwiseOptions) (*Stepw
 			v := vc[c]
 			gc := linalg.Dot(q, v)
 			for i := range v {
-				v[i] -= gc * q[i]
+				v[i] -= float64(gc * q[i])
 			}
 			vcNorm2[c] = linalg.Dot(v, v)
 		}
@@ -236,40 +239,46 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestStepwiseMatchesReference holds the fused two-pass stepwise loop to
-// the four-pass reference: same selection, and bit-equal coefficients
-// and intercept, on seeded problems with and without MaxPredictors.
+// TestStepwiseMatchesReference holds the blocked stepwise update to the
+// four-pass reference: same selection, and bit-equal coefficients and
+// intercept, on seeded problems with and without MaxPredictors, with the
+// update inline (width 1) and split across two and three goroutines.
+// Problems start at four candidates, so late steps run with fewer live
+// columns than workers.
 func TestStepwiseMatchesReference(t *testing.T) {
 	const problems = 96
-	multi := 0
-	for seed := int64(0); seed < problems; seed++ {
-		x, y, opts := stepwiseProblem(seed)
-		got, gotErr := StepwiseRegression(x, y, opts)
-		want, wantErr := referenceStepwise(x, y, opts)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("seed %d: error %v, reference error %v", seed, gotErr, wantErr)
+	for _, width := range []int{1, 2, 3} {
+		multi := 0
+		for seed := int64(0); seed < problems; seed++ {
+			x, y, opts := stepwiseProblem(seed)
+			want, wantErr := referenceStepwise(x, y, opts)
+			opts.Workers = width
+			got, gotErr := StepwiseRegression(x, y, opts)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("width %d seed %d: error %v, reference error %v", width, seed, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			if !equalInts(got.Selected, want.Selected) {
+				t.Fatalf("width %d seed %d: selected %v, reference %v", width, seed, got.Selected, want.Selected)
+			}
+			if !sameBits(got.Model.Coef, want.Model.Coef) ||
+				math.Float64bits(got.Model.Intercept) != math.Float64bits(want.Model.Intercept) {
+				t.Fatalf("width %d seed %d: fit (%v, %v), reference (%v, %v)", width, seed,
+					got.Model.Intercept, got.Model.Coef, want.Model.Intercept, want.Model.Coef)
+			}
+			if got.Dropped != want.Dropped {
+				t.Fatalf("width %d seed %d: dropped %d, reference %d", width, seed, got.Dropped, want.Dropped)
+			}
+			if len(got.Selected) >= 2 {
+				multi++
+			}
 		}
-		if gotErr != nil {
-			continue
+		// The comparison is only meaningful if most problems run several
+		// Gram-Schmidt updates.
+		if multi < problems/2 {
+			t.Errorf("width %d: only %d of %d problems selected two or more columns", width, multi, problems)
 		}
-		if !equalInts(got.Selected, want.Selected) {
-			t.Fatalf("seed %d: selected %v, reference %v", seed, got.Selected, want.Selected)
-		}
-		if !sameBits(got.Model.Coef, want.Model.Coef) ||
-			math.Float64bits(got.Model.Intercept) != math.Float64bits(want.Model.Intercept) {
-			t.Fatalf("seed %d: fit (%v, %v), reference (%v, %v)", seed,
-				got.Model.Intercept, got.Model.Coef, want.Model.Intercept, want.Model.Coef)
-		}
-		if got.Dropped != want.Dropped {
-			t.Fatalf("seed %d: dropped %d, reference %d", seed, got.Dropped, want.Dropped)
-		}
-		if len(got.Selected) >= 2 {
-			multi++
-		}
-	}
-	// The comparison is only meaningful if most problems run several
-	// Gram-Schmidt updates.
-	if multi < problems/2 {
-		t.Errorf("only %d of %d problems selected two or more columns", multi, problems)
 	}
 }

@@ -520,6 +520,46 @@ func BenchmarkStepwise96Features(b *testing.B) {
 	}
 }
 
+// BenchmarkStepwiseTrainingShape runs the selection at the activity
+// fit's real size: 3,957 rows of 384 0/1 transition-bit columns, 56 of
+// them never set, capped at 80 predictors, against a target over 120 of
+// the bits that keeps the selection going to the cap.
+func BenchmarkStepwiseTrainingShape(b *testing.B) {
+	const n, p, unset, steps = 3957, 384, 56, 80
+	r := rand.New(rand.NewSource(12))
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = make([]float64, p)
+	}
+	y := make([]float64, n)
+	for c, k := range r.Perm(p)[unset:] {
+		density := 0.02 + 0.4*r.Float64()
+		w := 0.0
+		if c < 120 {
+			w = 0.3 + r.Float64()
+		}
+		for i := range x {
+			if r.Float64() < density {
+				x[i][k] = 1
+				y[i] += w
+			}
+		}
+	}
+	for i := range y {
+		y[i] += r.NormFloat64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := StepwiseRegression(x, y, StepwiseOptions{MaxPredictors: steps})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Selected) < 60 {
+			b.Fatalf("selection stopped after %d steps", len(res.Selected))
+		}
+	}
+}
+
 func BenchmarkWelchT(b *testing.B) {
 	r := rand.New(rand.NewSource(10))
 	a := make([]float64, 1000)

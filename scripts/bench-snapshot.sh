@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # bench-snapshot.sh runs the attack-sweep analytics ladder, the
-# simulation-throughput benchmark and three layer benchmarks (instruction
-# decode, the streaming CPA accumulator, one device capture) once each
+# simulation-throughput benchmark and five layer benchmarks (instruction
+# decode, the streaming CPA accumulator, one device capture, and the
+# activity fit's stepwise selection and least-squares refit at their
+# training size) once each
 # (-benchtime=1x: a smoke-grade snapshot, not a statistically stable
 # measurement) and distills the rungs into BENCH_attack.json — one
 # record per benchmark with ns/op, B/op, allocs/op and the traces/s (or
@@ -17,8 +19,8 @@ JSON="$OUT_DIR/BENCH_attack.json"
 echo "== benchmarks (1 iteration each)"
 go test -run '^$' -bench 'BenchmarkAttackSweep|BenchmarkSimulationThroughput' \
   -benchtime=1x -benchmem . | tee "$RAW"
-go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkCorrAccumulatorAdd$|BenchmarkDeviceCapture$' \
-  -benchtime=1x -benchmem ./internal/isa ./internal/stats ./internal/device | tee -a "$RAW"
+go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkCorrAccumulatorAdd$|BenchmarkDeviceCapture$|BenchmarkStepwiseTrainingShape$|BenchmarkLeastSquaresTrainingShape$' \
+  -benchtime=1x -benchmem ./internal/isa ./internal/stats ./internal/device ./internal/linalg | tee -a "$RAW"
 
 echo "== distill to $JSON"
 awk '
@@ -46,7 +48,7 @@ END { print "\n]" }
 
 # The snapshot must have produced every ladder rung; an empty or partial
 # distillation means the benchmark names drifted from this script.
-for want in 'buffered/traces=4096' 'streaming/traces=4096' 'SimulationThroughput' 'CorrAccumulatorAdd' 'DeviceCapture'; do
+for want in 'buffered/traces=4096' 'streaming/traces=4096' 'SimulationThroughput' 'CorrAccumulatorAdd' 'DeviceCapture' 'StepwiseTrainingShape' 'LeastSquaresTrainingShape'; do
   grep -q "$want" "$JSON" || {
     echo "BENCH_attack.json missing $want" >&2; cat "$JSON" >&2; exit 1; }
 done
