@@ -352,7 +352,8 @@ func DefaultExperimentsOptions() ExperimentsOptions {
 
 // MixedProgram generates a random-but-terminating evaluation program
 // blending all instruction clusters (loads, stores, mul/div, branches,
-// bounded loops), as used for the §V robustness studies.
+// bounded loops), as used for the §V robustness studies. It errors past
+// 2,043 instructions, where the program's stores could reach its code.
 func MixedProgram(rng *rand.Rand, instructions int) ([]uint32, error) {
 	return core.MixedProgram(rng, instructions)
 }

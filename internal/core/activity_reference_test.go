@@ -36,8 +36,8 @@ func referenceActivityRow(c *cpu.Cycle, offsets [cpu.NumStages]int, total int) [
 }
 
 // referenceFitActivity is fitActivity as it was before flip records: the
-// dense rows, stride-subsampled, handed to StepwiseRegression as rows with
-// the update on one goroutine.
+// dense rows, stride-subsampled, read one column at a time by
+// StepwiseRegression with the update on one goroutine.
 func (t *Trainer) referenceFitActivity(m *Model, meas []measurement) error {
 	offsets, total := featureOffsets()
 	base := m.WithOptions(ModelOptions{
@@ -74,7 +74,11 @@ func (t *Trainer) referenceFitActivity(m *Model, meas []measurement) error {
 		}
 		feats, resid = f2, r2
 	}
-	sw, err := stats.StepwiseRegression(feats, resid, stats.StepwiseOptions{
+	sw, err := stats.StepwiseRegression(context.Background(), total, func(f int, dst []float64) {
+		for i, row := range feats {
+			dst[i] = row[f]
+		}
+	}, resid, stats.StepwiseOptions{
 		MaxPredictors: t.opts.MaxActivityBits,
 		Workers:       1,
 	})

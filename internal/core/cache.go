@@ -16,6 +16,11 @@ import "sync"
 // amplitudes are NOT cached — they depend on the phase-0 kernel — so a
 // hit is kernel-agnostic and safe across training configurations.
 
+// cacheBudget is the most capture data, in bytes, a MeasurementCache
+// holds: well above the 32 MB a full emsim-bench run keeps, and a bound
+// on what a long-lived server's /v1/train traffic can pin.
+const cacheBudget = 256 << 20
+
 // measurementKey content-addresses one averaged measurement.
 type measurementKey struct {
 	device  uint64 // device.Fingerprint()
@@ -36,6 +41,8 @@ type CacheStats struct {
 type MeasurementCache struct {
 	mu     sync.Mutex
 	m      map[measurementKey][]float64
+	bytes  int64 // capture data held
+	budget int64 // the most capture data put may hold
 	hits   int64
 	misses int64
 }
@@ -44,7 +51,7 @@ type MeasurementCache struct {
 // Trainer that measures the same device (or family of devices — keys
 // include the device fingerprint, so distinct boards never collide).
 func NewMeasurementCache() *MeasurementCache {
-	return &MeasurementCache{m: make(map[measurementKey][]float64)}
+	return &MeasurementCache{m: make(map[measurementKey][]float64), budget: cacheBudget}
 }
 
 // get returns the cached capture for key, or nil on a miss.
@@ -64,15 +71,19 @@ func (c *MeasurementCache) get(key measurementKey) []float64 {
 
 // put stores a capture. First write wins; a concurrent duplicate (two
 // workers measuring the same program) is dropped, which is harmless
-// because determinism makes duplicates identical.
+// because determinism makes duplicates identical. A capture that would
+// take the cache past its budget is dropped too: its next lookup misses
+// and measures it again, with the same result.
 func (c *MeasurementCache) put(key measurementKey, y []float64) {
 	if c == nil {
 		return
 	}
+	size := 8 * int64(len(y))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.m[key]; !ok {
+	if _, ok := c.m[key]; !ok && c.bytes+size <= c.budget {
 		c.m[key] = y
+		c.bytes += size
 	}
 }
 

@@ -13,9 +13,32 @@ import (
 // for the baseline amplitudes, the same with random operands for the
 // activity-factor regression, and mixed programs for the MISO fit.
 
-// dataBase is where training programs keep their scratch data, far from
-// the code.
+// dataBase is where training programs keep their scratch data. Their
+// stores land at or above it, so a program's image must end below it,
+// or the stores could rewrite its code; the generators reject one that
+// would not.
 const dataBase = 0x2000
+
+// The largest campaign sizes whose programs end below dataBase for every
+// seed. An activity probe program of n instances assembles to at most
+// 8+22·n words (the load probe, the widest, takes 22 per instance, and
+// the lead-in and EBREAK 8), and a mixed program of n instructions to at
+// most n+4 (its last item, a bounded loop, adds up to four instructions
+// past n, then EBREAK). TrainOptions.Validate holds a campaign to them,
+// so an oversized one fails before its first capture.
+const (
+	MaxInstancesPerCluster = (dataBase/4 - 1 - 8) / 22
+	MaxMixedLength         = dataBase/4 - 1 - 4
+)
+
+// belowData returns a generated program's words, or an error if its
+// image reaches dataBase.
+func belowData(p *asm.Program) ([]uint32, error) {
+	if 4*len(p.Words) >= dataBase {
+		return nil, fmt.Errorf("core: a %d-word program reaches the scratch data at %#x", len(p.Words), dataBase)
+	}
+	return p.Words, nil
+}
 
 // allNOPProgram returns n NOPs followed by EBREAK.
 func allNOPProgram(n int) []uint32 {
@@ -111,7 +134,11 @@ func randomOperandPrograms(stream func(i int) *rand.Rand, instancesPerCluster in
 		if err != nil {
 			return err
 		}
-		progs = append(progs, p.Words)
+		words, err := belowData(p)
+		if err != nil {
+			return err
+		}
+		progs = append(progs, words)
 		return nil
 	}
 	setRegs := func(b *asm.Builder, rng *rand.Rand) (isa.Reg, isa.Reg) {
@@ -182,7 +209,8 @@ func randomOperandPrograms(stream func(i int) *rand.Rand, instancesPerCluster in
 // MixedProgram generates one phase-3 / evaluation program: a dense blend
 // of all clusters with random operands, loads/stores confined to the
 // scratch region, short forward branches and a couple of bounded loops —
-// the "similar to a real program" structure of §V-A.
+// the "similar to a real program" structure of §V-A. n may be at most
+// MaxMixedLength; past it, the image could reach the scratch data.
 func MixedProgram(rng *rand.Rand, n int) ([]uint32, error) {
 	b := asm.NewBuilder()
 	regs := []isa.Reg{isa.T0, isa.T1, isa.T2, isa.T3, isa.S0, isa.S1, isa.A0, isa.A1}
@@ -241,5 +269,5 @@ func MixedProgram(rng *rand.Rand, n int) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Words, nil
+	return belowData(p)
 }

@@ -26,12 +26,13 @@ type TrainOptions struct {
 	// programs.
 	Seed int64
 	// InstancesPerCluster is the number of random-operand probes per
-	// cluster in phase 2. Default 40.
+	// cluster in phase 2. Default 40, at most MaxInstancesPerCluster.
 	InstancesPerCluster int
 	// MaxActivityBits caps the stepwise selection size. Default 80.
 	MaxActivityBits int
 	// MixedPrograms and MixedLength size the phase-3 campaign.
-	// Defaults: 3 programs of 500 instructions.
+	// Defaults: 3 programs of 500 instructions; MixedLength is at most
+	// MaxMixedLength.
 	MixedPrograms, MixedLength int
 	// Workers is the campaign's fan-out width: how many device measurer
 	// replicas capture probe programs concurrently, and how many
@@ -79,6 +80,21 @@ func (o *TrainOptions) setDefaults() {
 	}
 }
 
+// Validate reports why NewTrainer would reject opts: a negative worker
+// count, or a campaign size past MaxInstancesPerCluster or
+// MaxMixedLength.
+func (o TrainOptions) Validate() error {
+	switch {
+	case o.Workers < 0:
+		return fmt.Errorf("core: negative training worker count %d", o.Workers)
+	case o.InstancesPerCluster > MaxInstancesPerCluster:
+		return fmt.Errorf("core: %d instances per cluster exceeds the limit %d", o.InstancesPerCluster, MaxInstancesPerCluster)
+	case o.MixedLength > MaxMixedLength:
+		return fmt.Errorf("core: mixed length %d exceeds the limit %d", o.MixedLength, MaxMixedLength)
+	}
+	return nil
+}
+
 // measurement is one program with the per-cycle amplitudes extracted
 // from its averaged capture by phase-0 kernel deconvolution; replay
 // aligns them with the model core's cycles.
@@ -99,31 +115,29 @@ func phase1Col(key int, s cpu.Stage) int { return 1 + key*cpu.NumStages + int(s)
 // regularization resolves the benign indeterminacies between stages that
 // always stall together.
 func (t *Trainer) fitBaseline(m *Model, meas []measurement) error {
-	xtx := linalg.NewMatrix(phase1Columns, phase1Columns)
-	xty := make([]float64, phase1Columns)
+	// The normal equations XᵀX·β = Xᵀy, row-major; each cycle adds its
+	// products to XᵀX's lower triangle, the part SolveCholesky reads.
+	const n = phase1Columns
+	xtx := make([]float64, n*n)
+	xty := make([]float64, n)
 	rows := 0
-	row := make([]float64, phase1Columns)
+	full := Model{Options: FullModel()}
 	err := replay(t.core, meas, func(c *cpu.Cycle, y float64) {
-		for i := range row {
-			row[i] = 0
-		}
-		row[0] = 1
-		full := FullModel()
-		tmp := Model{Options: full}
+		row := [n]float64{0: 1}
 		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
 			st := &c.Stages[s]
 			if st.Stalled {
 				continue
 			}
-			row[phase1Col(tmp.ampKeyFor(st), s)] += 1
+			row[phase1Col(full.ampKeyFor(st), s)] += 1
 		}
-		for i := 0; i < phase1Columns; i++ {
-			if row[i] == 0 {
+		for i, ri := range row {
+			if ri == 0 {
 				continue
 			}
-			xty[i] += row[i] * y
-			for j := i; j < phase1Columns; j++ {
-				xtx.Set(i, j, xtx.At(i, j)+row[i]*row[j])
+			xty[i] += float64(ri * y)
+			for j := i; j < n; j++ {
+				xtx[j*n+i] += float64(ri * row[j])
 			}
 		}
 		rows++
@@ -131,18 +145,15 @@ func (t *Trainer) fitBaseline(m *Model, meas []measurement) error {
 	if err != nil {
 		return err
 	}
-	if rows < phase1Columns {
-		return fmt.Errorf("only %d cycles for %d unknowns", rows, phase1Columns)
+	if rows < n {
+		return fmt.Errorf("only %d cycles for %d unknowns", rows, n)
 	}
-	// Symmetrize and regularize.
-	lambda := 1e-3 * float64(rows)
-	for i := 0; i < phase1Columns; i++ {
-		for j := 0; j < i; j++ {
-			xtx.Set(i, j, xtx.At(j, i))
-		}
-		xtx.Set(i, i, xtx.At(i, i)+lambda)
+	// Regularize.
+	lambda := float64(1e-3 * float64(rows))
+	for i := 0; i < n; i++ {
+		xtx[i*n+i] += lambda
 	}
-	beta, err := linalg.SolveCholesky(xtx, xty)
+	beta, err := linalg.SolveCholesky(n, xtx, xty)
 	if err != nil {
 		return err
 	}
@@ -250,7 +261,7 @@ func (t *Trainer) fitActivity(ctx context.Context, m *Model, meas []measurement)
 		recs, resid = rec2, r2
 	}
 
-	sw, err := stats.StepwiseColumns(ctx, total, func(f int, dst []float64) {
+	sw, err := stats.StepwiseRegression(ctx, total, func(f int, dst []float64) {
 		flipColumn(recs, offsets, f, dst)
 	}, resid, stats.StepwiseOptions{
 		MaxPredictors: t.opts.MaxActivityBits,
@@ -283,25 +294,24 @@ func (t *Trainer) fitActivity(ctx context.Context, m *Model, meas []measurement)
 // the extracted amplitudes against m's per-stage sources u_s. It also
 // returns each cycle's summed sources, the single-source ablation's
 // regressor, and the amplitudes, in replay order.
-func (m *Model) stageFit(core *cpu.CPU, meas []measurement) (*stats.RegressionResult, [][]float64, []float64, error) {
-	var feats, single [][]float64
+func (m *Model) stageFit(core *cpu.CPU, meas []measurement) (*stats.RegressionResult, []float64, []float64, error) {
+	var cols [cpu.NumStages + 1][]float64 // each stage's source, then their sum
 	var ys []float64
 	err := replay(core, meas, func(c *cpu.Cycle, amp float64) {
-		fv := make([]float64, cpu.NumStages)
 		sum := 0.0
 		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
-			fv[s] = m.stageSource(s, &c.Stages[s], false)
-			sum += fv[s]
+			u := m.stageSource(s, &c.Stages[s], false)
+			cols[s] = append(cols[s], u)
+			sum += u
 		}
-		feats = append(feats, fv)
-		single = append(single, []float64{sum})
+		cols[cpu.NumStages] = append(cols[cpu.NumStages], sum)
 		ys = append(ys, amp)
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	fit, err := stats.LinearRegression(feats, ys)
-	return fit, single, ys, err
+	fit, err := stats.LinearRegression(cpu.NumStages, func(s int, dst []float64) { copy(dst, cols[s]) }, ys)
+	return fit, cols[cpu.NumStages], ys, err
 }
 
 // fitMISO fits the final combination (Equ. 9) over mixed programs,
@@ -315,7 +325,7 @@ func (t *Trainer) fitMISO(m *Model, meas []measurement) error {
 	for s := 0; s < cpu.NumStages; s++ {
 		m.MISO[s] = fit.Coef[s]
 	}
-	sfit, err := stats.LinearRegression(single, ys)
+	sfit, err := stats.LinearRegression(1, func(_ int, dst []float64) { copy(dst, single) }, ys)
 	if err != nil {
 		return err
 	}

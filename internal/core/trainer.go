@@ -123,13 +123,14 @@ func ModelConfig(dev *device.Device) cpu.Config {
 	return cfg
 }
 
-// NewTrainer prepares a training session against dev. The fits replay
-// programs on one model core, configured by ModelConfig.
+// NewTrainer prepares a training session against dev, or rejects opts
+// that fail Validate. The fits replay programs on one model core,
+// configured by ModelConfig.
 func NewTrainer(dev *device.Device, opts TrainOptions) (*Trainer, error) {
-	opts.setDefaults()
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("core: negative training worker count %d", opts.Workers)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
+	opts.setDefaults()
 	core, err := cpu.New(ModelConfig(dev))
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -265,5 +266,95 @@ func TestNewTrainerRejectsNegativeWorkers(t *testing.T) {
 	opts.Workers = -1
 	if _, err := NewTrainer(dev, opts); err == nil {
 		t.Error("NewTrainer accepted a negative worker count")
+	}
+}
+
+// TestCampaignSizeLimits holds the campaign size limits to the scratch
+// data they protect. At the largest accepted sizes, every program the
+// activity and MISO generators make, over twenty campaign seeds, ends
+// below dataBase and halts on the model core, and a campaign at those
+// sizes trains. One probe or one instruction more fails Validate, so
+// NewTrainer rejects it before any capture; sizes whose images reach
+// dataBase fail in the generators.
+func TestCampaignSizeLimits(t *testing.T) {
+	c, err := cpu.New(cpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		progs, err := randomOperandPrograms(func(i int) *rand.Rand {
+			return trainStream(seed, PhaseActivity, int64(i))
+		}, MaxInstancesPerCluster)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		mix, err := MixedProgram(trainStream(seed, PhaseMISO, 0), MaxMixedLength)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i, words := range append(progs, mix) {
+			if 4*len(words) >= dataBase {
+				t.Fatalf("seed %d program %d: %d words reach the scratch data", seed, i, len(words))
+			}
+			if _, err := c.RunProgram(words); err != nil {
+				t.Fatalf("seed %d program %d: %v", seed, i, err)
+			}
+		}
+	}
+
+	opts := TrainOptions{Runs: 2, InstancesPerCluster: MaxInstancesPerCluster, MixedPrograms: 1, MixedLength: MaxMixedLength}
+	if _, err := Train(device.MustNew(device.DefaultOptions()), opts); err != nil {
+		t.Fatalf("campaign at the largest accepted sizes: %v", err)
+	}
+	over := opts
+	over.InstancesPerCluster++
+	if _, err := NewTrainer(device.MustNew(device.DefaultOptions()), over); err == nil {
+		t.Errorf("NewTrainer accepted %d instances per cluster", over.InstancesPerCluster)
+	}
+	over = opts
+	over.MixedLength++
+	if _, err := NewTrainer(device.MustNew(device.DefaultOptions()), over); err == nil {
+		t.Errorf("NewTrainer accepted mixed length %d", over.MixedLength)
+	}
+	if _, err := randomOperandPrograms(func(i int) *rand.Rand {
+		return trainStream(1, PhaseActivity, int64(i))
+	}, MaxInstancesPerCluster+1); err == nil {
+		t.Errorf("randomOperandPrograms made %d-instance programs", MaxInstancesPerCluster+1)
+	}
+	if _, err := MixedProgram(rand.New(rand.NewSource(1)), dataBase/4); err == nil {
+		t.Errorf("MixedProgram made a %d-instruction program", dataBase/4)
+	}
+}
+
+// TestMeasurementCacheBudget fills a cache whose budget holds only part
+// of a campaign's captures. Once full it stops growing and stays within
+// its budget, still serves every capture it holds, and measures the rest
+// again; the campaign run through it saves the same model bytes as one
+// run without a cache.
+func TestMeasurementCacheBudget(t *testing.T) {
+	plain, _ := trainWith(t, smallCampaign())
+
+	cache := NewMeasurementCache()
+	cache.budget = 1 << 20
+	opts := smallCampaign()
+	opts.Cache = cache
+	first, _ := trainWith(t, opts)
+	held := cache.Stats()
+	if cache.bytes > cache.budget {
+		t.Fatalf("cache holds %d bytes, past its %d-byte budget", cache.bytes, cache.budget)
+	}
+	if held.Entries == 0 || int64(held.Entries) >= held.Misses {
+		t.Fatalf("stats %+v: want a cache that filled up and dropped captures", held)
+	}
+	second, _ := trainWith(t, opts)
+	after := cache.Stats()
+	if after.Entries != held.Entries {
+		t.Errorf("full cache grew from %d to %d entries", held.Entries, after.Entries)
+	}
+	if hits := after.Hits - held.Hits; hits < int64(held.Entries) {
+		t.Errorf("retraining hit the cache %d times, want at least once per held capture (%d)", hits, held.Entries)
+	}
+	if !bytes.Equal(first, plain) || !bytes.Equal(second, plain) {
+		t.Error("a campaign through a full cache saved different model bytes")
 	}
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -545,17 +546,32 @@ func TestPipelineMatchesISS(t *testing.T) {
 		if err := ref.RunProgram(words); err != nil {
 			t.Fatalf("trial %d: iss: %v", trial, err)
 		}
-		for rg := isa.Reg(0); rg < isa.NumRegs; rg++ {
-			if c.Reg(rg) != ref.Regs[rg] {
-				t.Fatalf("trial %d: reg %v mismatch: pipeline %#x, iss %#x",
-					trial, rg, c.Reg(rg), ref.Regs[rg])
-			}
+		requireMatchesISS(t, fmt.Sprintf("trial %d", trial), c, ref)
+	}
+}
+
+// requireMatchesISS holds a finished pipeline run to the ISS's run of
+// the same program: equal registers, equal data memory over [1024, 2048)
+// (randProgram's store window), one retirement per executed instruction,
+// and every cycle retiring either an instruction or a bubble.
+func requireMatchesISS(t *testing.T, name string, c *CPU, ref *ISS) {
+	t.Helper()
+	for rg := isa.Reg(0); rg < isa.NumRegs; rg++ {
+		if c.Reg(rg) != ref.Regs[rg] {
+			t.Fatalf("%s: reg %v mismatch: pipeline %#x, iss %#x", name, rg, c.Reg(rg), ref.Regs[rg])
 		}
-		for addr := uint32(1024); addr < 2048; addr += 4 {
-			if got, want := c.Memory().ReadWord(addr), ref.Mem.ReadWord(addr); got != want {
-				t.Fatalf("trial %d: mem[%#x] mismatch: pipeline %#x, iss %#x", trial, addr, got, want)
-			}
+	}
+	for addr := uint32(1024); addr < 2048; addr += 4 {
+		if got, want := c.Memory().ReadWord(addr), ref.Mem.ReadWord(addr); got != want {
+			t.Fatalf("%s: mem[%#x] mismatch: pipeline %#x, iss %#x", name, addr, got, want)
 		}
+	}
+	st := c.Stats()
+	if st.Retired != ref.Executed() {
+		t.Fatalf("%s: pipeline retired %d instructions, iss executed %d", name, st.Retired, ref.Executed())
+	}
+	if st.Cycles != st.Retired+st.Bubbles {
+		t.Fatalf("%s: %d cycles, want %d retired + %d bubbles", name, st.Cycles, st.Retired, st.Bubbles)
 	}
 }
 
@@ -586,12 +602,7 @@ func TestPipelineMatchesISSAllConfigs(t *testing.T) {
 		if err := ref.RunProgram(words); err != nil {
 			t.Fatalf("config %d: iss: %v", ci, err)
 		}
-		for rg := isa.Reg(0); rg < isa.NumRegs; rg++ {
-			if c.Reg(rg) != ref.Regs[rg] {
-				t.Fatalf("config %d: reg %v mismatch: pipeline %#x, iss %#x",
-					ci, rg, c.Reg(rg), ref.Regs[rg])
-			}
-		}
+		requireMatchesISS(t, fmt.Sprintf("config %d", ci), c, ref)
 	}
 }
 

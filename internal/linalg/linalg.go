@@ -1,111 +1,15 @@
 // Package linalg provides the dense linear algebra EMSim's regression
-// models need: matrices, Householder-QR least squares, and Cholesky
-// factorization. It is deliberately small — just enough numerical
-// machinery for the paper's model fitting — and uses no dependencies
-// beyond the standard library.
+// models need: the dot product, Householder-QR least squares over a
+// design given as its columns, and a Cholesky solve of flat normal
+// equations. It is deliberately small — just enough numerical machinery
+// for the paper's model fitting — and uses no dependencies beyond the
+// standard library.
 package linalg
 
 import (
 	"fmt"
 	"math"
 )
-
-// Matrix is a dense row-major matrix.
-type Matrix struct {
-	Rows, Cols int
-	Data       []float64 // len == Rows*Cols
-}
-
-// NewMatrix allocates a zero Rows×Cols matrix.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("linalg: negative dimension %dx%d", rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from row slices, which must all share a length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("linalg: ragged row %d: %d != %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// Row returns a view of row i (shared storage).
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m·b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: mul shape mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := mi[k]
-			//emsim:ignore floatcmp skipping exactly-zero entries cannot change the product; it only exploits sparsity
-			if a == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j := range oi {
-				oi[j] += float64(a * bk[j])
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m·x as a vector.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic(fmt.Sprintf("linalg: mulvec shape mismatch %dx%d · %d", m.Rows, m.Cols, len(x)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += float64(v * x[j])
-		}
-		out[i] = s
-	}
-	return out
-}
 
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
@@ -119,35 +23,15 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// LeastSquares solves min ‖A·x − b‖₂ via Householder QR with column checks.
-// A must have Rows >= Cols and full column rank (within eps); otherwise an
-// error is returned. The solve runs on a column-major copy of A (see
-// LeastSquaresColumns).
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != len(b) {
-		return nil, fmt.Errorf("linalg: A has %d rows but b has %d entries", a.Rows, len(b))
-	}
-	m := a.Rows
-	buf := make([]float64, m*a.Cols)
-	cols := make([][]float64, a.Cols)
-	for j := range cols {
-		col := buf[j*m : (j+1)*m : (j+1)*m]
-		for i := range col {
-			col[i] = a.At(i, j)
-		}
-		cols[j] = col
-	}
-	return LeastSquaresColumns(cols, b)
-}
-
-// LeastSquaresColumns is LeastSquares with A given as its columns, each
-// len(b) entries long. It factors A in place: the columns are
-// overwritten.
+// LeastSquares solves min ‖A·x − b‖₂ via Householder QR, with A given as
+// its columns, each len(b) entries long. A must have at least as many
+// rows as columns and full column rank (within eps); otherwise an error
+// is returned. It factors A in place: the columns are overwritten.
 //
 // The Householder loops walk contiguous columns and apply each reflector
 // to four columns per pass over it. Every column's sum still runs in row
 // order, so the solution is bit-identical to one column at a time.
-func LeastSquaresColumns(cols [][]float64, b []float64) ([]float64, error) {
+func LeastSquares(cols [][]float64, b []float64) ([]float64, error) {
 	m, n := len(b), len(cols)
 	for j, col := range cols {
 		if len(col) != m {
@@ -249,60 +133,52 @@ func reflect(v []float64, cols [][]float64, k int) {
 	}
 }
 
-// Cholesky factors a symmetric positive-definite matrix as L·Lᵀ and
-// returns L (lower triangular). It errors on non-SPD input.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: cholesky of non-square %dx%d", a.Rows, a.Cols)
+// SolveCholesky solves A·x = b for a symmetric positive-definite n×n
+// matrix A, given row-major in a; only its lower triangle is read. It
+// factors A in place as L·Lᵀ: on return, a's lower triangle holds L. It
+// errors on non-SPD input.
+func SolveCholesky(n int, a, b []float64) ([]float64, error) {
+	if len(a) != n*n {
+		return nil, fmt.Errorf("linalg: A has %d entries, want %d×%d", len(a), n, n)
 	}
-	n := a.Rows
-	l := NewMatrix(n, n)
+	if len(b) != n {
+		return nil, fmt.Errorf("linalg: b has %d entries, want %d", len(b), n)
+	}
 	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
+		li := a[i*n : i*n+i+1]
+		for j := range li {
+			lj := a[j*n : j*n+j+1]
+			s := li[j]
 			for k := 0; k < j; k++ {
-				s -= float64(l.At(i, k) * l.At(j, k))
+				s -= float64(li[k] * lj[k])
 			}
 			if i == j {
 				if s <= 0 {
 					return nil, fmt.Errorf("linalg: matrix not positive definite at %d (pivot %g)", i, s)
 				}
-				l.Set(i, i, math.Sqrt(s))
+				li[i] = math.Sqrt(s)
 			} else {
-				l.Set(i, j, s/l.At(j, j))
+				li[j] = s / lj[j]
 			}
 		}
-	}
-	return l, nil
-}
-
-// SolveCholesky solves A·x = b for SPD A using a Cholesky factorization.
-func SolveCholesky(a *Matrix, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: b has %d entries, want %d", len(b), n)
 	}
 	// Forward: L·y = b.
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= float64(l.At(i, k) * y[k])
+			s -= float64(a[i*n+k] * y[k])
 		}
-		y[i] = s / l.At(i, i)
+		y[i] = s / a[i*n+i]
 	}
 	// Backward: Lᵀ·x = y.
 	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= float64(l.At(k, i) * x[k])
+			s -= float64(a[k*n+i] * x[k])
 		}
-		x[i] = s / l.At(i, i)
+		x[i] = s / a[i*n+i]
 	}
 	return x, nil
 }

@@ -21,53 +21,45 @@ func vecAlmostEqual(a, b []float64, tol float64) bool {
 	return true
 }
 
-func TestMatrixBasics(t *testing.T) {
-	m := NewMatrix(2, 3)
-	m.Set(0, 0, 1)
-	m.Set(1, 2, 5)
-	if m.At(0, 0) != 1 || m.At(1, 2) != 5 {
-		t.Fatal("At/Set broken")
-	}
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) != 1 {
-		t.Error("Clone shares storage")
-	}
-	tr := m.T()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 5 {
-		t.Error("transpose broken")
-	}
-}
-
-func TestFromRowsPanicsOnRagged(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ragged rows accepted")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
-func TestMatrixMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want.At(i, j) {
-				t.Errorf("c[%d][%d] = %v, want %v", i, j, c.At(i, j), want.At(i, j))
-			}
+// columns returns the columns of the matrix given by rows.
+func columns(rows [][]float64) [][]float64 {
+	cols := make([][]float64, len(rows[0]))
+	for j := range cols {
+		cols[j] = make([]float64, len(rows))
+		for i, row := range rows {
+			cols[j][i] = row[j]
 		}
 	}
+	return cols
 }
 
-func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := a.MulVec([]float64{1, 1, 1})
-	if !vecAlmostEqual(got, []float64{6, 15}, 1e-12) {
-		t.Errorf("MulVec = %v", got)
+// newColumns returns the n zero columns of an m×n matrix.
+func newColumns(m, n int) [][]float64 {
+	cols := make([][]float64, n)
+	for j := range cols {
+		cols[j] = make([]float64, m)
 	}
+	return cols
+}
+
+// cloneColumns deep-copies cols, which LeastSquares overwrites.
+func cloneColumns(cols [][]float64) [][]float64 {
+	c := make([][]float64, len(cols))
+	for j, col := range cols {
+		c[j] = append([]float64(nil), col...)
+	}
+	return c
+}
+
+// mulVec returns A·x for A given by its columns.
+func mulVec(cols [][]float64, x []float64) []float64 {
+	out := make([]float64, len(cols[0]))
+	for j, col := range cols {
+		for i, v := range col {
+			out[i] += v * x[j]
+		}
+	}
+	return out
 }
 
 func TestDotAndNorm(t *testing.T) {
@@ -78,13 +70,13 @@ func TestDotAndNorm(t *testing.T) {
 
 func TestLeastSquaresExactSolve(t *testing.T) {
 	// Square nonsingular system: exact solution.
-	a := FromRows([][]float64{
+	a := columns([][]float64{
 		{2, 1, 0},
 		{1, 3, 1},
 		{0, 1, 4},
 	})
 	want := []float64{1, -2, 3}
-	b := a.MulVec(want)
+	b := mulVec(a, want)
 	got, err := LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -97,11 +89,11 @@ func TestLeastSquaresExactSolve(t *testing.T) {
 func TestLeastSquaresOverdetermined(t *testing.T) {
 	// Fit y = 2 + 3x to noisy-free samples: intercept/slope recovered.
 	xs := []float64{0, 1, 2, 3, 4, 5}
-	a := NewMatrix(len(xs), 2)
+	a := [][]float64{make([]float64, len(xs)), make([]float64, len(xs))}
 	b := make([]float64, len(xs))
 	for i, x := range xs {
-		a.Set(i, 0, 1)
-		a.Set(i, 1, x)
+		a[0][i] = 1
+		a[1][i] = x
 		b[i] = 2 + 3*x
 	}
 	got, err := LeastSquares(a, b)
@@ -119,25 +111,24 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		m, n := 30, 5
-		a := NewMatrix(m, n)
+		a := newColumns(m, n)
 		b := make([]float64, m)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
-				a.Set(i, j, r.NormFloat64())
+				a[j][i] = r.NormFloat64()
 			}
 			b[i] = r.NormFloat64()
 		}
-		x, err := LeastSquares(a, b)
+		x, err := LeastSquares(cloneColumns(a), b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := a.MulVec(x)
+		res := mulVec(a, x)
 		for i := range res {
 			res[i] -= b[i]
 		}
-		atr := a.T().MulVec(res)
-		for j, v := range atr {
-			if math.Abs(v) > 1e-8 {
+		for j, col := range a {
+			if v := Dot(col, res); math.Abs(v) > 1e-8 {
 				t.Fatalf("trial %d: residual not orthogonal: (Aᵀr)[%d] = %g", trial, j, v)
 			}
 		}
@@ -151,17 +142,17 @@ func TestLeastSquaresRecoversRandomModel(t *testing.T) {
 	f := func() bool {
 		n := 2 + r.Intn(6)
 		m := n + 5 + r.Intn(20)
-		a := NewMatrix(m, n)
+		a := newColumns(m, n)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
-				a.Set(i, j, r.NormFloat64())
+				a[j][i] = r.NormFloat64()
 			}
 		}
 		want := make([]float64, n)
 		for j := range want {
 			want[j] = r.NormFloat64() * 10
 		}
-		b := a.MulVec(want)
+		b := mulVec(a, want)
 		got, err := LeastSquares(a, b)
 		if err != nil {
 			return false
@@ -174,67 +165,85 @@ func TestLeastSquaresRecoversRandomModel(t *testing.T) {
 }
 
 func TestLeastSquaresErrors(t *testing.T) {
-	a := NewMatrix(2, 3)
-	if _, err := LeastSquares(a, []float64{1, 2}); err == nil {
+	if _, err := LeastSquares(columns([][]float64{{0, 0, 0}, {0, 0, 0}}), []float64{1, 2}); err == nil {
 		t.Error("underdetermined accepted")
 	}
-	a = NewMatrix(3, 2)
-	if _, err := LeastSquares(a, []float64{1, 2}); err == nil {
+	if _, err := LeastSquares(columns([][]float64{{0, 0}, {0, 0}, {0, 0}}), []float64{1, 2}); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 	// Rank-deficient: duplicate columns.
-	a = FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	if _, err := LeastSquares(a, []float64{1, 2, 3}); err == nil {
+	if _, err := LeastSquares(columns([][]float64{{1, 1}, {2, 2}, {3, 3}}), []float64{1, 2, 3}); err == nil {
 		t.Error("rank-deficient accepted")
 	}
 }
 
+// spd3 is a symmetric positive-definite 3×3 matrix, row-major.
+var spd3 = []float64{
+	4, 2, 2,
+	2, 5, 3,
+	2, 3, 6,
+}
+
+// mulSquare returns A·x for a row-major n×n matrix a.
+func mulSquare(a, x []float64) []float64 {
+	n := len(x)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = Dot(a[i*n:(i+1)*n], x)
+	}
+	return out
+}
+
 func TestCholesky(t *testing.T) {
-	a := FromRows([][]float64{
-		{4, 2, 2},
-		{2, 5, 3},
-		{2, 3, 6},
-	})
-	l, err := Cholesky(a)
+	// The solve leaves L in a's lower triangle; L·Lᵀ must reproduce A.
+	a := append([]float64(nil), spd3...)
+	if _, err := SolveCholesky(3, a, []float64{1, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		for j := 0; j <= i; j++ {
+			llt := 0.0
+			for k := 0; k <= j; k++ {
+				llt += a[i*3+k] * a[j*3+k]
+			}
+			if !almostEqual(llt, spd3[i*3+j], 1e-9) {
+				t.Errorf("LLᵀ[%d][%d] = %v, want %v", i, j, llt, spd3[i*3+j])
+			}
+		}
+	}
+	// Only the lower triangle is read.
+	upperless := append([]float64(nil), spd3...)
+	upperless[1], upperless[2], upperless[5] = 0, 0, 0
+	want := []float64{1, 2, -1}
+	got, err := SolveCholesky(3, upperless, mulSquare(spd3, want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// L·Lᵀ must reproduce A.
-	llt := l.Mul(l.T())
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if !almostEqual(llt.At(i, j), a.At(i, j), 1e-9) {
-				t.Errorf("LLᵀ[%d][%d] = %v, want %v", i, j, llt.At(i, j), a.At(i, j))
-			}
-		}
+	if !vecAlmostEqual(got, want, 1e-9) {
+		t.Errorf("solution from the lower triangle = %v, want %v", got, want)
 	}
 }
 
 func TestCholeskyRejectsNonSPD(t *testing.T) {
-	if _, err := Cholesky(FromRows([][]float64{{1, 2}, {2, 1}})); err == nil {
+	if _, err := SolveCholesky(2, []float64{1, 2, 2, 1}, []float64{1, 1}); err == nil {
 		t.Error("indefinite matrix accepted")
 	}
-	if _, err := Cholesky(NewMatrix(2, 3)); err == nil {
+	if _, err := SolveCholesky(2, make([]float64, 6), []float64{1, 1}); err == nil {
 		t.Error("non-square accepted")
 	}
 }
 
 func TestSolveCholesky(t *testing.T) {
-	a := FromRows([][]float64{
-		{4, 2, 2},
-		{2, 5, 3},
-		{2, 3, 6},
-	})
 	want := []float64{1, 2, -1}
-	b := a.MulVec(want)
-	got, err := SolveCholesky(a, b)
+	b := mulSquare(spd3, want)
+	got, err := SolveCholesky(3, append([]float64(nil), spd3...), b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !vecAlmostEqual(got, want, 1e-9) {
 		t.Errorf("solution = %v, want %v", got, want)
 	}
-	if _, err := SolveCholesky(a, []float64{1}); err == nil {
+	if _, err := SolveCholesky(3, append([]float64(nil), spd3...), []float64{1}); err == nil {
 		t.Error("bad b length accepted")
 	}
 }
@@ -244,20 +253,27 @@ func TestQRAgreesWithCholeskyOnNormalEquations(t *testing.T) {
 	// equations (AᵀA x = Aᵀb via Cholesky) must agree.
 	r := rand.New(rand.NewSource(5))
 	m, n := 40, 6
-	a := NewMatrix(m, n)
+	a := newColumns(m, n)
 	b := make([]float64, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			a.Set(i, j, r.NormFloat64())
+			a[j][i] = r.NormFloat64()
 		}
 		b[i] = r.NormFloat64()
+	}
+	ata := make([]float64, n*n)
+	atb := make([]float64, n)
+	for i, ci := range a {
+		for j, cj := range a {
+			ata[i*n+j] = Dot(ci, cj)
+		}
+		atb[i] = Dot(ci, b)
 	}
 	x1, err := LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := a.T()
-	x2, err := SolveCholesky(at.Mul(a), at.MulVec(b))
+	x2, err := SolveCholesky(n, ata, atb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,17 +285,21 @@ func TestQRAgreesWithCholeskyOnNormalEquations(t *testing.T) {
 func BenchmarkLeastSquares100x20(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	m, n := 100, 20
-	a := NewMatrix(m, n)
+	a := newColumns(m, n)
 	rhs := make([]float64, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			a.Set(i, j, r.NormFloat64())
+			a[j][i] = r.NormFloat64()
 		}
 		rhs[i] = r.NormFloat64()
 	}
+	work := cloneColumns(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LeastSquares(a, rhs); err != nil {
+		for j := range work {
+			copy(work[j], a[j])
+		}
+		if _, err := LeastSquares(work, rhs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -291,37 +311,27 @@ func BenchmarkLeastSquares100x20(b *testing.B) {
 func BenchmarkLeastSquaresTrainingShape(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
 	m, n := 3957, 81
-	a := NewMatrix(m, n)
+	a := newColumns(m, n)
 	rhs := make([]float64, m)
 	for j := 0; j < n; j++ {
 		density := 0.02 + 0.4*r.Float64()
 		for i := 0; i < m; i++ {
 			if j == 0 || r.Float64() < density {
-				a.Set(i, j, 1)
+				a[j][i] = 1
 			}
 		}
 	}
 	for i := range rhs {
 		rhs[i] = r.NormFloat64()
 	}
+	work := cloneColumns(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LeastSquares(a, rhs); err != nil {
+		for j := range work {
+			copy(work[j], a[j])
+		}
+		if _, err := LeastSquares(work, rhs); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMatMul64(b *testing.B) {
-	r := rand.New(rand.NewSource(2))
-	a := NewMatrix(64, 64)
-	c := NewMatrix(64, 64)
-	for i := range a.Data {
-		a.Data[i] = r.NormFloat64()
-		c.Data[i] = r.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Mul(c)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"emsim/internal/core"
 	"emsim/internal/obs"
 )
 
@@ -178,7 +179,7 @@ func TestTrainCancelMidPhaseDrains(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 
 	// A campaign big enough to be mid-phase when the cancel lands.
-	resp, data := postJSON(t, ts.URL+"/v1/train", trainRequest{Runs: 150, InstancesPerCluster: 200})
+	resp, data := postJSON(t, ts.URL+"/v1/train", trainRequest{Runs: 150, InstancesPerCluster: core.MaxInstancesPerCluster})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
 	}

@@ -125,7 +125,7 @@ func TestBaseContextCancelsJobs(t *testing.T) {
 	_, ts := newTestServer(t, Config{BaseContext: base})
 
 	// A campaign big enough to still be in flight when the cancel lands.
-	resp, data := postJSON(t, ts.URL+"/v1/train", trainRequest{Runs: 150, InstancesPerCluster: 200})
+	resp, data := postJSON(t, ts.URL+"/v1/train", trainRequest{Runs: 150, InstancesPerCluster: core.MaxInstancesPerCluster})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
 	}

@@ -143,8 +143,8 @@ func (s *Server) handleTrainSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "runs %d exceeds limit %d", req.Runs, s.cfg.MaxTrainRuns)
 		return
 	}
-	if req.InstancesPerCluster > 500 || req.MixedPrograms > 64 || req.MixedLength > 20000 {
-		writeError(w, http.StatusBadRequest, "campaign size exceeds limits (instances <= 500, mixed programs <= 64, mixed length <= 20000)")
+	if req.MixedPrograms > 64 {
+		writeError(w, http.StatusBadRequest, "mixed programs %d exceeds limit 64", req.MixedPrograms)
 		return
 	}
 
@@ -158,6 +158,10 @@ func (s *Server) handleTrainSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if opts.Workers == 0 {
 		opts.Workers = s.cfg.TrainWorkers
+	}
+	if err := opts.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	devOpts := device.DefaultOptions()
 	devOpts.CPU = s.cfg.CPU

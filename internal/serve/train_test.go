@@ -100,7 +100,7 @@ func TestTrainJobCancel(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	// A campaign big enough to still be in flight when the cancel lands.
-	resp, data := postJSON(t, ts.URL+"/v1/train", trainRequest{Runs: 150, InstancesPerCluster: 200})
+	resp, data := postJSON(t, ts.URL+"/v1/train", trainRequest{Runs: 150, InstancesPerCluster: core.MaxInstancesPerCluster})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
 	}
@@ -138,6 +138,9 @@ func TestTrainValidationAndLookup(t *testing.T) {
 		"negative seed":  {Seed: -1},
 		"excessive runs": {Runs: 100000},
 		"huge campaign":  {InstancesPerCluster: 100000},
+		// Sizes whose programs would reach the training scratch data.
+		"instances past the limit":    {InstancesPerCluster: 150},
+		"mixed length past the limit": {MixedLength: 2100},
 	} {
 		resp, _ := postJSON(t, ts.URL+"/v1/train", req)
 		if resp.StatusCode != http.StatusBadRequest {

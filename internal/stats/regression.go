@@ -22,55 +22,12 @@ type RegressionResult struct {
 	N, P int
 }
 
-// Predict evaluates the fitted model on one feature vector.
-func (r *RegressionResult) Predict(x []float64) float64 {
-	s := r.Intercept
-	for j, c := range r.Coef {
-		s += float64(c * x[j])
-	}
-	return s
-}
-
 // LinearRegression fits y ≈ δ + X·c by ordinary least squares, the model
-// form of Equ. 8 and Equ. 9 in the paper. X is given as rows of feature
-// vectors, one per entry of y, all of one width.
-func LinearRegression(x [][]float64, y []float64) (*RegressionResult, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, fmt.Errorf("stats: regression needs matching nonempty X (%d) and y (%d)", len(x), len(y))
-	}
-	p, err := rowWidth(x)
-	if err != nil {
-		return nil, err
-	}
-	return linearFit(p, rowColumn(x), y)
-}
-
-// rowWidth returns the width every row of x shares, or an error naming
-// the first row whose width differs from row 0's.
-func rowWidth(x [][]float64) (int, error) {
-	p := len(x[0])
-	for i, row := range x {
-		if len(row) != p {
-			return 0, fmt.Errorf("stats: ragged feature row %d", i)
-		}
-	}
-	return p, nil
-}
-
-// rowColumn reads a design given as rows one column at a time, the form
-// linearFit and StepwiseColumns take.
-func rowColumn(x [][]float64) func(c int, dst []float64) {
-	return func(c int, dst []float64) {
-		for i, row := range x {
-			dst[i] = row[c]
-		}
-	}
-}
-
-// linearFit is LinearRegression over p predictor columns that col fills
-// (see StepwiseColumns). It fills each column twice: once into the
-// column-major design the solve consumes, and once to score the fit.
-func linearFit(p int, col func(c int, dst []float64), y []float64) (*RegressionResult, error) {
+// form of Equ. 8 and Equ. 9 in the paper, over p predictor columns of
+// len(y) samples that col fills on demand: col(c, dst) must write every
+// entry of dst with predictor c. It fills each column twice: once into
+// the column-major design the solve consumes, and once to score the fit.
+func LinearRegression(p int, col func(c int, dst []float64), y []float64) (*RegressionResult, error) {
 	n := len(y)
 	buf := make([]float64, n*(p+1))
 	a := make([][]float64, p+1)
@@ -83,14 +40,14 @@ func linearFit(p int, col func(c int, dst []float64), y []float64) (*RegressionR
 	for j := 1; j <= p; j++ {
 		col(j-1, a[j])
 	}
-	beta, err := linalg.LeastSquaresColumns(a, y)
+	beta, err := linalg.LeastSquares(a, y)
 	if err != nil {
 		return nil, fmt.Errorf("stats: regression solve: %w", err)
 	}
 	res := &RegressionResult{Intercept: beta[0], Coef: beta[1:], N: n, P: p}
 
-	// fit[i] is Predict of row i, summed a column at a time: each entry
-	// sees the same additions in the same order.
+	// fit[i] is the model evaluated on sample i, summed a column at a
+	// time: the intercept, then each coefficient times its predictor.
 	fit := make([]float64, n)
 	for i := range fit {
 		fit[i] = res.Intercept
@@ -117,17 +74,6 @@ func linearFit(p int, col func(c int, dst []float64), y []float64) (*RegressionR
 		res.R2 = 1 // constant target perfectly fit by intercept
 	}
 	return res, nil
-}
-
-// interceptOnlyRSS is the null model's residual sum of squares.
-func interceptOnlyRSS(y []float64) float64 {
-	m := Mean(y)
-	s := 0.0
-	for _, v := range y {
-		d := v - m
-		s += float64(d * d)
-	}
-	return s
 }
 
 // StepwiseResult describes a stepwise-selected linear model.
@@ -196,22 +142,8 @@ type StepwiseOptions struct {
 // repeatedly adds the candidate predictor with the largest F statistic, as
 // long as that statistic exceeds the critical value. This is how the paper
 // prunes the transition-bit vector T by more than 65% without losing
-// accuracy. X is given as rows, one per entry of y, all of one width; the
-// selection itself is StepwiseColumns.
-func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*StepwiseResult, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, fmt.Errorf("stats: stepwise needs matching nonempty X (%d) and y (%d)", len(x), len(y))
-	}
-	p, err := rowWidth(x)
-	if err != nil {
-		return nil, err
-	}
-	return StepwiseColumns(context.Background(), p, rowColumn(x), y, opts)
-}
-
-// StepwiseColumns is StepwiseRegression over p candidate columns of
-// len(y) samples that col fills on demand: col(c, dst) must write every
-// entry of dst with candidate c. It is called once per candidate to set
+// accuracy. The p candidates are columns of len(y) samples that col
+// fills, as for LinearRegression; col is called once per candidate to set
 // up, and twice per selected column for the final refit. A cancelled ctx
 // stops the selection at its next step.
 //
@@ -225,7 +157,7 @@ func StepwiseRegression(x [][]float64, y []float64, opts StepwiseOptions) (*Step
 // goroutines (see foldAll). The scores are exactly the OLS
 // residual-sum-of-squares reductions, and ties break toward the lowest
 // column index, so the selection is deterministic.
-func StepwiseColumns(ctx context.Context, p int, col func(c int, dst []float64), y []float64, opts StepwiseOptions) (*StepwiseResult, error) {
+func StepwiseRegression(ctx context.Context, p int, col func(c int, dst []float64), y []float64, opts StepwiseOptions) (*StepwiseResult, error) {
 	n := len(y)
 	if n == 0 {
 		return nil, fmt.Errorf("stats: stepwise needs a nonempty y")
@@ -353,13 +285,9 @@ func StepwiseColumns(ctx context.Context, p int, col func(c int, dst []float64),
 		}
 	}
 
-	model, err := linearFit(len(selected), func(k int, dst []float64) { col(selected[k], dst) }, y)
+	model, err := LinearRegression(len(selected), func(k int, dst []float64) { col(selected[k], dst) }, y)
 	if err != nil {
-		if len(selected) > 0 {
-			return nil, err
-		}
-		// An intercept-only regression; fit it by hand.
-		model = &RegressionResult{Intercept: Mean(y), Coef: nil, N: n, RSS: interceptOnlyRSS(y)}
+		return nil, err
 	}
 	return &StepwiseResult{Selected: selected, Model: model, Dropped: p - len(selected)}, nil
 }

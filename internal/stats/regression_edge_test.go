@@ -25,19 +25,7 @@ func TestStepwiseEdgeCases(t *testing.T) {
 	c2 := []float64{1, -1, -1, 1}
 	zero := []float64{0, 0, 0, 0}
 
-	// design assembles rows from candidate columns; target mixes the
-	// basis vectors with the given weights.
-	design := func(cols ...[]float64) [][]float64 {
-		x := make([][]float64, 4)
-		for i := range x {
-			row := make([]float64, len(cols))
-			for j, c := range cols {
-				row[j] = c[i]
-			}
-			x[i] = row
-		}
-		return x
-	}
+	// target mixes the basis vectors with the given weights.
 	target := func(w0, w1, w2 float64) []float64 {
 		y := make([]float64, 4)
 		for i := range y {
@@ -48,7 +36,7 @@ func TestStepwiseEdgeCases(t *testing.T) {
 
 	cases := []struct {
 		name         string
-		x            [][]float64
+		x            [][]float64 // candidate columns
 		y            []float64
 		opts         StepwiseOptions
 		wantSelected []int
@@ -60,7 +48,7 @@ func TestStepwiseEdgeCases(t *testing.T) {
 			// and must be skipped by the collinearity test; column 2 then
 			// completes a perfect fit.
 			name:         "collinear duplicate skipped",
-			x:            design(c0, c0, c1),
+			x:            [][]float64{c0, c0, c1},
 			y:            target(100, 10, 0),
 			wantSelected: []int{0, 2},
 			wantDropped:  1,
@@ -70,7 +58,7 @@ func TestStepwiseEdgeCases(t *testing.T) {
 			// nv2 <= 1e-12·colNorm2 reduces to 0 <= 0 and skips it, so
 			// only the real column can enter.
 			name:         "all-zero predictor never selected",
-			x:            design(zero, c0),
+			x:            [][]float64{zero, c0},
 			y:            target(5, 0, 0),
 			wantSelected: []int{1},
 			wantDropped:  1,
@@ -79,7 +67,7 @@ func TestStepwiseEdgeCases(t *testing.T) {
 			// Every candidate is zero: selection finds nothing and the
 			// result degrades to the intercept-only model.
 			name:         "all candidates zero: intercept-only",
-			x:            design(zero, zero),
+			x:            [][]float64{zero, zero},
 			y:            []float64{1, 2, 3, 4},
 			wantSelected: []int{},
 			wantDropped:  2,
@@ -91,7 +79,7 @@ func TestStepwiseEdgeCases(t *testing.T) {
 			// signals clear their critical values (F≈22 at df2=2, then
 			// F=900 at df2=1).
 			name:         "p greater than n clamps to n-2",
-			x:            design(c0, c1, c2, c0, zero, c1),
+			x:            [][]float64{c0, c1, c2, c0, zero, c1},
 			y:            target(100, 30, 1),
 			wantSelected: []int{0, 1},
 			wantDropped:  4,
@@ -102,7 +90,7 @@ func TestStepwiseEdgeCases(t *testing.T) {
 			// rounding). FEnter = 0.9/161.4 puts the df2=1 critical value
 			// at 0.9: F ≥ crit, the column enters.
 			name:         "F at threshold enters when crit is below",
-			x:            design(c0, c1),
+			x:            [][]float64{c0, c1},
 			y:            target(100, 1, 1), // the c2 part is irreducible noise
 			opts:         StepwiseOptions{FEnter: 0.9 / 161.4},
 			wantSelected: []int{0, 1},
@@ -113,7 +101,7 @@ func TestStepwiseEdgeCases(t *testing.T) {
 			// second column. The flip between this case and the previous
 			// one pins the comparison direction at the boundary.
 			name:         "F at threshold stops when crit is above",
-			x:            design(c0, c1),
+			x:            [][]float64{c0, c1},
 			y:            target(100, 1, 1),
 			opts:         StepwiseOptions{FEnter: 1.1 / 161.4},
 			wantSelected: []int{0},
@@ -122,7 +110,7 @@ func TestStepwiseEdgeCases(t *testing.T) {
 		{
 			// Default threshold (161.4 at df2=1) likewise rejects F=1.
 			name:         "F at threshold stops at default crit",
-			x:            design(c0, c1),
+			x:            [][]float64{c0, c1},
 			y:            target(100, 1, 1),
 			wantSelected: []int{0},
 			wantDropped:  1,
@@ -131,7 +119,7 @@ func TestStepwiseEdgeCases(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := StepwiseRegression(tc.x, tc.y, tc.opts)
+			res, err := StepwiseRegression(context.Background(), len(tc.x), copyColumn(tc.x), tc.y, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,9 +129,9 @@ func TestStepwiseEdgeCases(t *testing.T) {
 			if res.Dropped != tc.wantDropped {
 				t.Errorf("Dropped = %d, want %d", res.Dropped, tc.wantDropped)
 			}
-			if res.Dropped != len(tc.x[0])-len(res.Selected) {
+			if res.Dropped != len(tc.x)-len(res.Selected) {
 				t.Errorf("Dropped = %d inconsistent with %d candidates and %d selected",
-					res.Dropped, len(tc.x[0]), len(res.Selected))
+					res.Dropped, len(tc.x), len(res.Selected))
 			}
 			if res.Model == nil {
 				t.Fatal("nil Model in result")
@@ -155,17 +143,9 @@ func TestStepwiseEdgeCases(t *testing.T) {
 		})
 	}
 
-	// A ragged X is an error wherever the short row sits, row 0 included.
-	for _, x := range [][][]float64{{{}, {1}, {2}, {3}}, {{1}, {}, {2}, {3}}} {
-		if _, err := StepwiseRegression(x, []float64{1, 2, 3, 4}, StepwiseOptions{}); err == nil ||
-			err.Error() != "stats: ragged feature row 1" {
-			t.Errorf("X = %v: err = %v, want ragged feature row 1", x, err)
-		}
-	}
-
 	t.Run("intercept-only model is the mean", func(t *testing.T) {
 		y := []float64{1, 2, 3, 4}
-		res, err := StepwiseRegression(design(zero, zero), y, StepwiseOptions{})
+		res, err := StepwiseRegression(context.Background(), 2, copyColumn([][]float64{zero, zero}), y, StepwiseOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,10 +167,27 @@ func TestStepwiseColumnsStopsWhenCancelled(t *testing.T) {
 	x, y, _ := stepwiseProblem(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := StepwiseColumns(ctx, len(x[0]), rowColumn(x), y, StepwiseOptions{Workers: 2})
+	res, err := StepwiseRegression(ctx, len(x[0]), rowColumn(x), y, StepwiseOptions{Workers: 2})
 	if !errors.Is(err, context.Canceled) || res != nil {
-		t.Fatalf("StepwiseColumns on a cancelled context = %v, %v; want context.Canceled", res, err)
+		t.Fatalf("StepwiseRegression on a cancelled context = %v, %v; want context.Canceled", res, err)
 	}
+}
+
+// copyColumn reads a design given as its columns, the form
+// StepwiseRegression takes.
+func copyColumn(cols [][]float64) func(c int, dst []float64) {
+	return func(c int, dst []float64) { copy(dst, cols[c]) }
+}
+
+// interceptOnlyRSS is the null model's residual sum of squares.
+func interceptOnlyRSS(y []float64) float64 {
+	m := Mean(y)
+	s := 0.0
+	for _, v := range y {
+		d := v - m
+		s += float64(d * d)
+	}
+	return s
 }
 
 func equalInts(a, b []int) bool {

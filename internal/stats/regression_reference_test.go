@@ -141,29 +141,17 @@ func referenceStepwise(x [][]float64, y []float64, opts StepwiseOptions) (*Stepw
 		}
 	}
 
-	var model *RegressionResult
-	var err error
-	if len(selected) == 0 {
-		// Intercept-only model.
-		model, err = LinearRegression(make([][]float64, n), y)
-		if err != nil {
-			// An all-empty X is a zero-predictor regression; fit manually.
-			model = &RegressionResult{Intercept: Mean(y), Coef: nil, N: n, RSS: interceptOnlyRSS(y)}
-			err = nil
+	sub := make([][]float64, n)
+	for i, row := range x {
+		s := make([]float64, len(selected))
+		for k, c := range selected {
+			s[k] = row[c]
 		}
-	} else {
-		sub := make([][]float64, n)
-		for i, row := range x {
-			s := make([]float64, len(selected))
-			for k, c := range selected {
-				s[k] = row[c]
-			}
-			sub[i] = s
-		}
-		model, err = LinearRegression(sub, y)
-		if err != nil {
-			return nil, err
-		}
+		sub[i] = s
+	}
+	model, err := LinearRegression(len(selected), rowColumn(sub), y)
+	if err != nil {
+		return nil, err
 	}
 	return &StepwiseResult{Selected: selected, Model: model, Dropped: p - len(selected)}, nil
 }
@@ -253,7 +241,7 @@ func TestStepwiseMatchesReference(t *testing.T) {
 			x, y, opts := stepwiseProblem(seed)
 			want, wantErr := referenceStepwise(x, y, opts)
 			opts.Workers = width
-			got, gotErr := StepwiseRegression(x, y, opts)
+			got, gotErr := stepwiseRows(x, y, opts)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("width %d seed %d: error %v, reference error %v", width, seed, gotErr, wantErr)
 			}

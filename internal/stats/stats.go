@@ -32,7 +32,7 @@ func Variance(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs)-1)
 }
@@ -67,9 +67,9 @@ func Pearson(a, b []float64) (float64, error) {
 	var sab, saa, sbb float64
 	for i := range a {
 		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
+		sab += float64(da * db)
+		saa += float64(da * da)
+		sbb += float64(db * db)
 	}
 	//emsim:ignore floatcmp exactly-zero variance marks a constant series; tiny nonzero variance is legitimate data
 	if saa == 0 || sbb == 0 {

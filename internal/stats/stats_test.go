@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -54,7 +55,7 @@ func TestLinearRegressionRecovery(t *testing.T) {
 		x = append(x, []float64{x1, x2})
 		y = append(y, 3+2*x1-x2)
 	}
-	res, err := LinearRegression(x, y)
+	res, err := fitRows(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +67,8 @@ func TestLinearRegressionRecovery(t *testing.T) {
 	if res.R2 < 0.999999 {
 		t.Errorf("R2 = %v on exact data", res.R2)
 	}
-	if got := res.Predict([]float64{1, 1}); math.Abs(got-4) > 1e-9 {
-		t.Errorf("Predict = %v, want 4", got)
+	if got := predict(res, []float64{1, 1}); math.Abs(got-4) > 1e-9 {
+		t.Errorf("prediction = %v, want 4", got)
 	}
 }
 
@@ -80,7 +81,7 @@ func TestLinearRegressionNoisy(t *testing.T) {
 		x = append(x, []float64{x1})
 		y = append(y, 5+0.5*x1+0.05*r.NormFloat64())
 	}
-	res, err := LinearRegression(x, y)
+	res, err := fitRows(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,15 +94,47 @@ func TestLinearRegressionNoisy(t *testing.T) {
 }
 
 func TestLinearRegressionErrors(t *testing.T) {
-	if _, err := LinearRegression(nil, nil); err == nil {
+	if _, err := LinearRegression(0, nil, nil); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := LinearRegression([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
+	// A predictor that repeats the intercept column is rank-deficient.
+	ones := func(_ int, dst []float64) {
+		for i := range dst {
+			dst[i] = 1
+		}
 	}
-	if _, err := LinearRegression([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
-		t.Error("ragged rows accepted")
+	if _, err := LinearRegression(1, ones, []float64{1, 2, 3}); err == nil {
+		t.Error("rank-deficient design accepted")
 	}
+}
+
+// rowColumn reads a design given as rows one column at a time, the form
+// LinearRegression and StepwiseRegression take.
+func rowColumn(x [][]float64) func(c int, dst []float64) {
+	return func(c int, dst []float64) {
+		for i, row := range x {
+			dst[i] = row[c]
+		}
+	}
+}
+
+// fitRows is LinearRegression over a design given as rows.
+func fitRows(x [][]float64, y []float64) (*RegressionResult, error) {
+	return LinearRegression(len(x[0]), rowColumn(x), y)
+}
+
+// stepwiseRows is StepwiseRegression over a design given as rows.
+func stepwiseRows(x [][]float64, y []float64, opts StepwiseOptions) (*StepwiseResult, error) {
+	return StepwiseRegression(context.Background(), len(x[0]), rowColumn(x), y, opts)
+}
+
+// predict evaluates a fitted model on one feature vector.
+func predict(r *RegressionResult, x []float64) float64 {
+	s := r.Intercept
+	for j, c := range r.Coef {
+		s += float64(c * x[j])
+	}
+	return s
 }
 
 func TestStepwiseSelectsTrueSupport(t *testing.T) {
@@ -120,7 +153,7 @@ func TestStepwiseSelectsTrueSupport(t *testing.T) {
 		x = append(x, row)
 		y = append(y, 1+3*row[true1]-2*row[true2]+0.8*row[true3]+0.01*r.NormFloat64())
 	}
-	res, err := StepwiseRegression(x, y, StepwiseOptions{})
+	res, err := stepwiseRows(x, y, StepwiseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +191,7 @@ func predictSelected(res *StepwiseResult, row []float64) float64 {
 	for k, c := range res.Selected {
 		sub[k] = row[c]
 	}
-	return res.Model.Predict(sub)
+	return predict(res.Model, sub)
 }
 
 func TestStepwiseNoSignal(t *testing.T) {
@@ -174,7 +207,7 @@ func TestStepwiseNoSignal(t *testing.T) {
 		x = append(x, row)
 		y = append(y, r.NormFloat64())
 	}
-	res, err := StepwiseRegression(x, y, StepwiseOptions{})
+	res, err := stepwiseRows(x, y, StepwiseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +227,7 @@ func TestStepwiseCollinearColumns(t *testing.T) {
 		x = append(x, []float64{v, v, noise})
 		y = append(y, 2*v)
 	}
-	res, err := StepwiseRegression(x, y, StepwiseOptions{})
+	res, err := stepwiseRows(x, y, StepwiseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +251,7 @@ func TestStepwiseMaxPredictors(t *testing.T) {
 		x = append(x, row)
 		y = append(y, row[0]+row[1]+row[2])
 	}
-	res, err := StepwiseRegression(x, y, StepwiseOptions{MaxPredictors: 2})
+	res, err := stepwiseRows(x, y, StepwiseOptions{MaxPredictors: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +547,7 @@ func BenchmarkStepwise96Features(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := StepwiseRegression(x, y, StepwiseOptions{}); err != nil {
+		if _, err := stepwiseRows(x, y, StepwiseOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -527,9 +560,9 @@ func BenchmarkStepwise96Features(b *testing.B) {
 func BenchmarkStepwiseTrainingShape(b *testing.B) {
 	const n, p, unset, steps = 3957, 384, 56, 80
 	r := rand.New(rand.NewSource(12))
-	x := make([][]float64, n)
-	for i := range x {
-		x[i] = make([]float64, p)
+	x := make([][]float64, p) // by columns
+	for k := range x {
+		x[k] = make([]float64, n)
 	}
 	y := make([]float64, n)
 	for c, k := range r.Perm(p)[unset:] {
@@ -538,19 +571,20 @@ func BenchmarkStepwiseTrainingShape(b *testing.B) {
 		if c < 120 {
 			w = 0.3 + r.Float64()
 		}
-		for i := range x {
+		for i := range y {
 			if r.Float64() < density {
-				x[i][k] = 1
+				x[k][i] = 1
 				y[i] += w
 			}
 		}
 	}
+	col := func(k int, dst []float64) { copy(dst, x[k]) }
 	for i := range y {
 		y[i] += r.NormFloat64()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := StepwiseRegression(x, y, StepwiseOptions{MaxPredictors: steps})
+		res, err := StepwiseRegression(context.Background(), p, col, y, StepwiseOptions{MaxPredictors: steps})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -595,11 +629,11 @@ func TestStepwiseMatchesFullOLSWhenUnconstrained(t *testing.T) {
 		x[i] = row
 		y[i] = s + 0.01*r.NormFloat64()
 	}
-	full, err := LinearRegression(x, y)
+	full, err := fitRows(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := StepwiseRegression(x, y, StepwiseOptions{FEnter: 1e-9})
+	sw, err := stepwiseRows(x, y, StepwiseOptions{FEnter: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +646,7 @@ func TestStepwiseMatchesFullOLSWhenUnconstrained(t *testing.T) {
 		for j := range row {
 			row[j] = r.NormFloat64()
 		}
-		a := full.Predict(row)
+		a := predict(full, row)
 		b := predictSelected(sw, row)
 		if math.Abs(a-b) > 1e-6 {
 			t.Fatalf("stepwise (%v) and OLS (%v) disagree", b, a)

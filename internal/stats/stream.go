@@ -75,7 +75,7 @@ func (w *WelchAccumulator) Add(group int, trace []float64) error {
 		x := trace[c]
 		d := x - mean[c]
 		mean[c] += d / n
-		m2[c] += d * (x - mean[c])
+		m2[c] += float64(d * (x - mean[c]))
 	}
 	return nil
 }
@@ -206,7 +206,7 @@ func (a *CorrAccumulator) Add(trace, hyp []float64) error {
 		}
 		d := x - a.meanX[col]
 		a.meanX[col] += d / n
-		a.m2x[col] += d * (x - a.meanX[col])
+		a.m2x[col] += float64(d * (x - a.meanX[col]))
 		dx[col] = d
 	}
 	for g := 0; g < a.guesses; g++ {
@@ -219,7 +219,7 @@ func (a *CorrAccumulator) Add(trace, hyp []float64) error {
 		d1 := h - a.meanH[g]
 		a.meanH[g] += d1 / n
 		d2 := h - a.meanH[g]
-		a.m2h[g] += d1 * d2
+		a.m2h[g] += float64(d1 * d2)
 		a.blockH[g*corrBlock+k] = d2
 	}
 	a.pending++
@@ -261,14 +261,14 @@ func (a *CorrAccumulator) flush() {
 		row := a.c[g*s:][:w]
 		for col := range row {
 			v := row[col]
-			v += x0[col] * d[0]
-			v += x1[col] * d[1]
-			v += x2[col] * d[2]
-			v += x3[col] * d[3]
-			v += x4[col] * d[4]
-			v += x5[col] * d[5]
-			v += x6[col] * d[6]
-			v += x7[col] * d[7]
+			v += float64(x0[col] * d[0])
+			v += float64(x1[col] * d[1])
+			v += float64(x2[col] * d[2])
+			v += float64(x3[col] * d[3])
+			v += float64(x4[col] * d[4])
+			v += float64(x5[col] * d[5])
+			v += float64(x6[col] * d[6])
+			v += float64(x7[col] * d[7])
 			row[col] = v
 		}
 	}

@@ -68,7 +68,7 @@ done
 echo "$RESP" | grep -q '"model":' || { echo "done job carries no model: $RESP" >&2; exit 1; }
 
 echo "== train job cancellation"
-RESP=$(curl -fsS -X POST -d '{"runs":150,"instances_per_cluster":200}' "$BASE/v1/train")
+RESP=$(curl -fsS -X POST -d '{"runs":150,"instances_per_cluster":90}' "$BASE/v1/train")
 JOB=$(echo "$RESP" | sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p')
 [ -n "$JOB" ] || { echo "no job_id in submit response: $RESP" >&2; exit 1; }
 curl -fsS -X DELETE "$BASE/v1/train/$JOB" >/dev/null
