@@ -9,8 +9,8 @@
 //
 // -experiment selects one of: fig1 fig2 fig3 fig4 fig5 fig6 fig7 table1
 // fig8 ablations manufacturing board fig9 fig10 table2 fig11 predictors
-// forwarding sampling budget trainperf defense (default: all). -groups
-// bounds the Figure 8 benchmark size (0 = all 17 groups, the recorded
+// forwarding sampling budget defense (default: all). -groups bounds the
+// Figure 8 benchmark size (0 = all 17 groups, the recorded
 // configuration). -quick shrinks the training campaign for a fast smoke
 // run. -train-workers sets the measurement fan-out width of every
 // training campaign (0 = GOMAXPROCS). A failed experiment does not stop
@@ -29,7 +29,7 @@ import (
 )
 
 func main() {
-	which := flag.String("experiment", "all", "experiment to run (fig1..fig11, table1, table2, ablations, manufacturing, board, predictors, forwarding, sampling, budget, trainperf, defense, all)")
+	which := flag.String("experiment", "all", "experiment to run (fig1..fig11, table1, table2, ablations, manufacturing, board, predictors, forwarding, sampling, budget, defense, all)")
 	groups := flag.Int("groups", 0, "Figure 8 benchmark groups per variant (0 = all 17)")
 	quick := flag.Bool("quick", false, "smaller training campaign (faster, slightly less accurate)")
 	tvlaTraces := flag.Int("tvla-traces", 40, "TVLA traces per group")
@@ -76,7 +76,6 @@ func main() {
 		{"forwarding", func() (fmt.Stringer, error) { return env.ForwardingStudy() }},
 		{"sampling", func() (fmt.Stringer, error) { return env.SamplingRateStudy() }},
 		{"budget", func() (fmt.Stringer, error) { return env.TrainingBudgetStudy() }},
-		{"trainperf", func() (fmt.Stringer, error) { return experiments.TrainingPipelineStudy(opts.Train) }},
 		{"defense", func() (fmt.Stringer, error) { return env.DefenseStudy(*tvlaTraces, 0) }},
 	}
 

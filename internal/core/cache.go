@@ -6,11 +6,11 @@ import "sync"
 // averaged capture simulates the program and draws `runs` passes of
 // noise on the device. The robustness and budget studies of §V retrain
 // over and over against the same device, re-measuring sequences whose
-// captures are a pure function of (device, program, runs) — the
-// determinism the Measurer replicas guarantee. MeasurementCache
-// exploits that purity: it stores averaged device captures
-// content-addressed by device fingerprint, averaging depth and program
-// words, so a retraining run (or a /v1/train job on a warm server)
+// captures are a pure function of (device, program, runs), because the
+// device keys every capture's noise. MeasurementCache exploits that
+// purity: it stores averaged device captures content-addressed by
+// device fingerprint, averaging depth and program words, so a
+// retraining run (or a /v1/train job on a warm server)
 // reuses cached captures instead of re-measuring. The fits replay each
 // program on the model core, so no trace is stored. Extracted
 // amplitudes are NOT cached — they depend on the phase-0 kernel — so a

@@ -34,8 +34,8 @@ type TrainOptions struct {
 	// Defaults: 3 programs of 500 instructions; MixedLength is at most
 	// MaxMixedLength.
 	MixedPrograms, MixedLength int
-	// Workers is the campaign's fan-out width: how many device measurer
-	// replicas capture probe programs concurrently, and how many
+	// Workers is the campaign's fan-out width: how many goroutines
+	// capture probe programs on the device concurrently, and how many
 	// goroutines share each step of the activity fit's stepwise update.
 	// The fitted model is byte-identical at every worker count
 	// (per-program noise streams, ordered reduction, and per-column sums

@@ -41,9 +41,9 @@ func init() {
 //  1. program generation draws from per-phase, per-program streams
 //     (trainStream), never from one shared generator, so the campaign's
 //     program list is fixed before any measurement begins;
-//  2. each measurement replica (device.Measurer) seeds its noise from
-//     (device noise seed, program words), so a capture is the same no
-//     matter which worker performs it, or when;
+//  2. every device capture seeds its noise from (device noise seed,
+//     program words), so a capture is the same no matter which worker
+//     performs it, or when;
 //  3. the fan-out reduces into an index-ordered slice, so the fitters
 //     always see measurements in campaign order.
 
@@ -309,31 +309,21 @@ func (t *Trainer) runPhase(ctx context.Context, p Phase, programs [][]uint32, fi
 	return ys, nil
 }
 
-// trainWorker is one measurement replica: an independent device
-// measurer. The fits replay programs on the Trainer's model core.
-type trainWorker struct {
-	meas *device.Measurer
-	lane int // trace lane this replica's measure spans render on
-}
-
-func (t *Trainer) newWorker() (*trainWorker, error) {
-	meas, err := t.dev.NewMeasurer()
-	if err != nil {
-		return nil, err
-	}
-	return &trainWorker{meas: meas, lane: obs.NextLane()}, nil
-}
+// newLane gives a measurement worker the trace lane its measure spans
+// render on: a worker's only state, since every worker measures on the
+// one Device and the fits replay programs on the Trainer's model core.
+func newLane() (int, error) { return obs.NextLane(), nil }
 
 // measureOne returns the averaged device capture of one program,
 // through the measurement cache when one is attached.
-func (t *Trainer) measureOne(ctx context.Context, w *trainWorker, words []uint32) ([]float64, error) {
-	obs.Begin(spanMeasure, w.lane)
-	defer obs.End(spanMeasure, w.lane)
+func (t *Trainer) measureOne(ctx context.Context, lane int, words []uint32) ([]float64, error) {
+	obs.Begin(spanMeasure, lane)
+	defer obs.End(spanMeasure, lane)
 	key := measurementKey{device: t.fp, runs: t.opts.Runs, program: par.HashWords(words)}
 	if y := t.opts.Cache.get(key); y != nil {
 		return y, nil
 	}
-	y, err := w.meas.MeasureAveraged(ctx, words, t.opts.Runs)
+	y, err := t.dev.MeasureAveragedContext(ctx, words, t.opts.Runs)
 	if err != nil {
 		return nil, err
 	}
@@ -348,9 +338,9 @@ func (t *Trainer) measureOne(ctx context.Context, w *trainWorker, words []uint32
 //emsim:ordered
 func (t *Trainer) measureAll(ctx context.Context, phase Phase, programs [][]uint32) ([][]float64, error) {
 	results := make([][]float64, len(programs))
-	err := par.Ordered(ctx, len(programs), t.opts.Workers, t.newWorker,
-		func(ctx context.Context, w *trainWorker, i int) ([]float64, error) {
-			y, err := t.measureOne(ctx, w, programs[i])
+	err := par.Ordered(ctx, len(programs), t.opts.Workers, newLane,
+		func(ctx context.Context, lane, i int) ([]float64, error) {
+			y, err := t.measureOne(ctx, lane, programs[i])
 			if err == nil {
 				t.noteProgress(phase)
 			}

@@ -3,7 +3,6 @@ package device
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"emsim/internal/cpu"
 	"emsim/internal/signal"
@@ -25,7 +24,7 @@ func BaseProbe() ProbePosition { return ProbePosition{X: 2, Height: 1} }
 // (inverse-square flat-fading coefficient).
 func (p ProbePosition) lossTo(s cpu.Stage) float64 {
 	dx := p.X - float64(s)
-	d2 := p.Height*p.Height + dx*dx
+	d2 := float64(p.Height*p.Height) + float64(dx*dx)
 	return 1 / d2
 }
 
@@ -68,13 +67,12 @@ func DefaultOptions() Options {
 }
 
 // Device is one physical measurement setup: a board (with hidden
-// physics), a probe position, and an oscilloscope.
+// physics), a probe position, and an oscilloscope. A Device is
+// immutable once built, so any number of goroutines may measure on it.
 type Device struct {
 	opts Options
 	phys *physics
-	core *cpu.CPU
 	beta [cpu.NumStages]float64
-	rng  *rand.Rand
 }
 
 // New builds a device from opts (zero-value fields are filled with
@@ -95,16 +93,10 @@ func New(opts Options) (*Device, error) {
 	if opts.NoiseStd < 0 {
 		return nil, fmt.Errorf("device: negative noise %g", opts.NoiseStd)
 	}
-	core, err := cpu.New(opts.CPU)
-	if err != nil {
+	if _, err := cpu.New(opts.CPU); err != nil {
 		return nil, err
 	}
-	d := &Device{
-		opts: opts,
-		phys: newPhysics(opts.TechSeed),
-		core: core,
-		rng:  rand.New(rand.NewSource(opts.NoiseSeed ^ 0x0DD5C0DE)),
-	}
+	d := &Device{opts: opts, phys: newPhysics(opts.TechSeed)}
 	base := BaseProbe()
 	for s := cpu.Stage(0); s < cpu.NumStages; s++ {
 		d.beta[s] = opts.Probe.lossTo(s) / base.lossTo(s)
@@ -128,13 +120,14 @@ func (d *Device) SamplesPerCycle() int { return d.opts.SamplesPerCycle }
 // Options returns the device configuration (hidden physics excluded).
 func (d *Device) Options() Options { return d.opts }
 
-// emit runs the program once on core and renders the ideal
-// (noise-free) analog emission of that run from the cycles as the core
-// streams them. Reconstruction returns exactly SamplesPerCycle samples
-// per cycle, and stretchPerCycle keeps that length.
-func (d *Device) emit(ctx context.Context, core *cpu.CPU, words []uint32) ([]float64, error) {
+// emit runs the program once on a fresh core (New has validated its
+// configuration) and renders the ideal (noise-free) analog emission of
+// that run from the cycles as the core streams them. Reconstruction
+// returns exactly SamplesPerCycle samples per cycle, and
+// stretchPerCycle keeps that length.
+func (d *Device) emit(ctx context.Context, words []uint32) ([]float64, error) {
 	var x []float64
-	err := core.RunProgramToContext(ctx, words, cpu.CycleSinkFunc(func(c *cpu.Cycle) error {
+	err := cpu.MustNew(d.opts.CPU).RunProgramToContext(ctx, words, cpu.CycleSinkFunc(func(c *cpu.Cycle) error {
 		x = append(x, d.phys.cycleAmplitude(c, &d.beta))
 		return nil
 	}))
@@ -143,7 +136,7 @@ func (d *Device) emit(ctx context.Context, core *cpu.CPU, words []uint32) ([]flo
 	}
 	y := signal.MustReconstruct(x, d.opts.SamplesPerCycle, d.phys.kernel)
 	if d.opts.ClockPPM != 0 {
-		y = stretchPerCycle(y, d.opts.SamplesPerCycle, 1+d.opts.ClockPPM*1e-6)
+		y = stretchPerCycle(y, d.opts.SamplesPerCycle, 1+float64(d.opts.ClockPPM*1e-6))
 	}
 	return y, nil
 }
@@ -171,7 +164,7 @@ func stretchPerCycle(y []float64, spc int, factor float64) []float64 {
 			return y[len(y)-1]
 		}
 		frac := pos - float64(lo)
-		return y[lo]*(1-frac) + y[lo+1]*frac
+		return float64(y[lo]*(1-frac)) + float64(y[lo+1]*frac)
 	}
 	for c := 0; c < cycles; c++ {
 		base := c * spc
@@ -181,34 +174,4 @@ func stretchPerCycle(y []float64, spc int, factor float64) []float64 {
 	}
 	copy(out[cycles*spc:], y[cycles*spc:])
 	return out
-}
-
-// MeasureAveraged emulates the paper's measurement procedure (§II-B): the
-// sequence is executed `runs` times (1000 in the paper) and the captures
-// are averaged sample by sample, yielding a low-noise reference
-// signal. The capture holds exactly SamplesPerCycle samples per
-// executed cycle, so len(y)/SamplesPerCycle() is the program's cycle
-// count. One run is one noisy oscilloscope capture. This is the
-// order-dependent variant: the noise comes from the device's shared
-// RNG, so the result depends on every capture made before it (a
-// Measurer's does not).
-func (d *Device) MeasureAveraged(words []uint32, runs int) ([]float64, error) {
-	return d.measure(context.Background(), d.core, words, runs, d.rng)
-}
-
-// CPUStats exposes the device core's statistics for experiment reporting.
-func (d *Device) CPUStats() cpu.Stats { return d.core.Stats() }
-
-// CaptureSource adapts the device to per-input trace consumers such as
-// leakage.TVLA (the returned function is assignable to a
-// leakage.TraceSource): each call builds the program for the input block
-// and captures one noisy oscilloscope trace of it.
-func (d *Device) CaptureSource(build func(input [16]byte) ([]uint32, error)) func(input [16]byte) ([]float64, error) {
-	return func(input [16]byte) ([]float64, error) {
-		words, err := build(input)
-		if err != nil {
-			return nil, err
-		}
-		return d.MeasureAveraged(words, 1)
-	}
 }

@@ -122,8 +122,7 @@ func TestAveragingReducesNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference: the noise-free emission.
-	ref := MustNew(DefaultOptions())
-	ideal, err := ref.emit(context.Background(), ref.core, prog)
+	ideal, err := MustNew(DefaultOptions()).emit(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ func TestClusterSignaturesDiffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := d.core.RunProgram(prog)
+		tr, err := cpu.MustNew(d.opts.CPU).RunProgram(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,6 +338,11 @@ func TestDeviceOptionValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("negative noise accepted")
 	}
+	bad = DefaultOptions()
+	bad.CPU.MulLatency = 0
+	if _, err := New(bad); err == nil {
+		t.Error("invalid core configuration accepted")
+	}
 	if _, err := MustNew(DefaultOptions()).MeasureAveraged(nopProgram(t, 1), 0); err == nil {
 		t.Error("0 runs accepted")
 	}
@@ -372,7 +376,7 @@ func TestBuggyMulChangesEmissionOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := d.core.RunProgram(prog)
+		tr, err := cpu.MustNew(d.opts.CPU).RunProgram(prog)
 		if err != nil {
 			t.Fatal(err)
 		}

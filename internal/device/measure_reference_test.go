@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"emsim/internal/cpu"
@@ -27,72 +28,26 @@ func referenceEmit(d *Device, tr cpu.Trace) []float64 {
 	return y
 }
 
-// referenceCapture is the single-capture Device.Capture the device used
-// to export: one run, traced and emitted, plus one noise draw per
-// sample from the device's shared RNG.
-func referenceCapture(d *Device, words []uint32) (cpu.Trace, []float64, error) {
-	tr, err := d.core.RunProgram(words)
-	if err != nil {
-		return nil, nil, fmt.Errorf("device: %w", err)
-	}
-	y := referenceEmit(d, tr)
-	out := make([]float64, len(y))
-	for i, v := range y {
-		out[i] = v + d.opts.NoiseStd*d.rng.NormFloat64()
-	}
-	return tr, out, nil
-}
-
-// referenceDeviceAveraged is Device.MeasureAveraged as it was before the
-// single-simulation loop: every averaging run re-simulates and re-emits
-// the program through referenceCapture. Kept as the oracle for
-// TestMeasureAveragedMatchesRerun.
-func referenceDeviceAveraged(d *Device, words []uint32, runs int) (cpu.Trace, []float64, error) {
+// referenceKeyedAveraged is the per-run loop that capture replaced:
+// every averaging run re-simulates the program on core, materializes
+// its trace and re-emits it, and adds one noise draw per sample from
+// the capture's keyed stream.
+func referenceKeyedAveraged(ctx context.Context, d *Device, core *cpu.CPU, words []uint32, runs int, index uint64) (cpu.Trace, []float64, error) {
 	if runs < 1 {
 		return nil, nil, fmt.Errorf("device: need >= 1 run (got %d)", runs)
 	}
-	var tr cpu.Trace
-	var acc []float64
-	for r := 0; r < runs; r++ {
-		t, y, err := referenceCapture(d, words)
-		if err != nil {
-			return nil, nil, err
-		}
-		if acc == nil {
-			acc = make([]float64, len(y))
-			tr = t
-		} else if len(y) != len(acc) {
-			return nil, nil, fmt.Errorf("device: nondeterministic run length (%d vs %d samples)", len(y), len(acc))
-		}
-		for i, v := range y {
-			acc[i] += v
-		}
-	}
-	inv := 1 / float64(runs)
-	for i := range acc {
-		acc[i] *= inv
-	}
-	return tr, acc, nil
-}
-
-// referenceMeasurerAveraged is the matching per-run loop of
-// Measurer.MeasureAveraged.
-func referenceMeasurerAveraged(ctx context.Context, m *Measurer, words []uint32, runs int) (cpu.Trace, []float64, error) {
-	if runs < 1 {
-		return nil, nil, fmt.Errorf("device: need >= 1 run (got %d)", runs)
-	}
-	rng := rand.New(rand.NewSource(programNoiseSeed(m.d.opts.NoiseSeed, words)))
+	rng := rand.New(rand.NewSource(programNoiseSeed(d.opts.NoiseSeed, words, index)))
 	var tr cpu.Trace
 	var acc []float64
 	for r := 0; r < runs; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		t, err := m.core.RunProgram(words)
+		t, err := core.RunProgram(words)
 		if err != nil {
 			return nil, nil, fmt.Errorf("device: %w", err)
 		}
-		y := referenceEmit(m.d, t)
+		y := referenceEmit(d, t)
 		if acc == nil {
 			acc = make([]float64, len(y))
 			tr = t
@@ -100,7 +55,7 @@ func referenceMeasurerAveraged(ctx context.Context, m *Measurer, words []uint32,
 			return nil, nil, fmt.Errorf("device: nondeterministic run length (%d vs %d samples)", len(y), len(acc))
 		}
 		for i, v := range y {
-			acc[i] += v + m.d.opts.NoiseStd*rng.NormFloat64()
+			acc[i] += v + float64(d.opts.NoiseStd*rng.NormFloat64())
 		}
 	}
 	inv := 1 / float64(runs)
@@ -156,14 +111,12 @@ func averagingProgram(t *testing.T, seed int64) []uint32 {
 	return words(t, insts...)
 }
 
-// TestMeasureAveragedMatchesRerun holds both MeasureAveraged methods,
-// which stream one simulation into the emission and average noise over
-// it, to the trace-materializing per-run loops they replaced: bit-equal
-// samples, equal cycle counts and equal core statistics, over a
-// sequence of measurements sharing one device (so the Device's shared
-// noise stream must also advance identically). At one run the Device
-// method must also equal the old single Capture, which CaptureSource
-// now relies on.
+// TestMeasureAveragedMatchesRerun holds the capture procedure, which
+// streams one simulation into the emission and averages keyed noise
+// over it, to the trace-materializing per-run loop it replaced:
+// bit-equal samples and equal cycle counts, at the index MeasureAveraged
+// uses and at a later CaptureSource index, over a sequence of
+// measurements sharing one device.
 func TestMeasureAveragedMatchesRerun(t *testing.T) {
 	defective := DefaultOptions()
 	defective.ClockPPM = 300
@@ -185,60 +138,32 @@ func TestMeasureAveragedMatchesRerun(t *testing.T) {
 	ctx := context.Background()
 	for _, dc := range devices {
 		t.Run(dc.name, func(t *testing.T) {
-			got, want := MustNew(dc.opts), MustNew(dc.opts)
-			gotM, err := got.NewMeasurer()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantM, err := want.NewMeasurer()
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := MustNew(dc.opts)
+			ref := cpu.MustNew(dc.opts.CPU)
 			spc := dc.opts.SamplesPerCycle
 			for pi, words := range programs {
 				for _, runs := range []int{1, 3, 30} {
-					name := fmt.Sprintf("program %d, %d runs", pi, runs)
-					if runs == 1 {
-						y, err := MustNew(dc.opts).MeasureAveraged(words, 1)
+					for _, index := range []uint64{0, 7} {
+						name := fmt.Sprintf("program %d, %d runs, capture %d", pi, runs, index)
+						wantTr, wantY, err := referenceKeyedAveraged(ctx, d, ref, words, runs, index)
+						if err != nil {
+							t.Fatalf("%s: reference: %v", name, err)
+						}
+						var y []float64
+						if index == 0 {
+							y, err = d.MeasureAveraged(words, runs)
+						} else {
+							y, err = d.capture(ctx, words, runs, index)
+						}
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						capTr, capY, err := referenceCapture(MustNew(dc.opts), words)
-						if err != nil {
-							t.Fatalf("%s: reference capture: %v", name, err)
-						}
-						checkSameCapture(t, "Device capture "+name, y, spc, capTr, capY)
-					}
-
-					y, err := got.MeasureAveraged(words, runs)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					wantTr, wantY, err := referenceDeviceAveraged(want, words, runs)
-					if err != nil {
-						t.Fatalf("%s: reference: %v", name, err)
-					}
-					checkSameCapture(t, "Device "+name, y, spc, wantTr, wantY)
-					if got.CPUStats() != want.CPUStats() {
-						t.Fatalf("Device %s: stats %+v, reference %+v", name, got.CPUStats(), want.CPUStats())
-					}
-
-					y, err = gotM.MeasureAveraged(ctx, words, runs)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					wantTr, wantY, err = referenceMeasurerAveraged(ctx, wantM, words, runs)
-					if err != nil {
-						t.Fatalf("%s: reference: %v", name, err)
-					}
-					checkSameCapture(t, "Measurer "+name, y, spc, wantTr, wantY)
-					if gotM.core.Stats() != wantM.core.Stats() {
-						t.Fatalf("Measurer %s: stats %+v, reference %+v", name, gotM.core.Stats(), wantM.core.Stats())
+						checkSameCapture(t, name, y, spc, wantTr, wantY)
 					}
 				}
 			}
-			if got.CPUStats().CacheMisses == 0 || got.CPUStats().Retired == 0 {
-				t.Errorf("programs exercised too little: %+v", got.CPUStats())
+			if st := ref.Stats(); st.CacheMisses == 0 || st.Retired == 0 {
+				t.Errorf("programs exercised too little: %+v", st)
 			}
 		})
 	}
@@ -262,25 +187,137 @@ func checkSameCapture(t *testing.T, name string, y []float64, spc int, wantTr cp
 }
 
 func TestMeasureAveragedCancelled(t *testing.T) {
-	m, err := MustNew(DefaultOptions()).NewMeasurer()
+	d := MustNew(DefaultOptions())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := d.MeasureAveragedContext(ctx, nopProgram(t, 4), 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled MeasureAveragedContext = %v, want context.Canceled", err)
+	}
+	if _, err := d.MeasureAveragedContext(context.Background(), nopProgram(t, 4), 0); err == nil {
+		t.Fatal("zero runs accepted")
+	}
+}
+
+// sameBits reports whether a and b hold the same samples bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCaptureIndependentOfHistory requires a capture to be the same
+// whether it is the device's first or follows other captures, of other
+// programs and of the same one.
+func TestCaptureIndependentOfHistory(t *testing.T) {
+	prog, other := nopProgram(t, 20), averagingProgram(t, 1)
+	first, err := MustNew(DefaultOptions()).MeasureAveraged(prog, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.MeasureAveraged(ctx, nopProgram(t, 4), 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled MeasureAveraged = %v, want context.Canceled", err)
+	d := MustNew(DefaultOptions())
+	for _, w := range [][]uint32{other, prog, other} {
+		if _, err := d.MeasureAveraged(w, 2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := m.MeasureAveraged(context.Background(), nopProgram(t, 4), 0); err == nil {
-		t.Fatal("zero runs accepted")
+	later, err := d.MeasureAveraged(prog, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(first, later) {
+		t.Fatal("a capture changed with the captures made before it")
+	}
+}
+
+// TestCaptureSourceNumbersCaptures requires CaptureSource's n-th call to
+// return the keyed single-run capture n of its input, on a device that
+// has measured before, and repeated captures of one input to draw fresh
+// noise: they differ on a noisy device and agree on a noiseless one.
+func TestCaptureSourceNumbersCaptures(t *testing.T) {
+	progs := map[byte][]uint32{0: nopProgram(t, 12), 1: averagingProgram(t, 2)}
+	build := func(input [16]byte) ([]uint32, error) { return progs[input[0]], nil }
+	inputs := []byte{0, 1, 0, 0}
+	noiseless := DefaultOptions()
+	noiseless.NoiseStd = 0
+	for _, opts := range []Options{DefaultOptions(), noiseless} {
+		d := MustNew(opts)
+		if _, err := d.MeasureAveraged(progs[1], 4); err != nil {
+			t.Fatal(err)
+		}
+		src := d.CaptureSource(build)
+		var got [][]float64
+		for n, in := range inputs {
+			y, err := src([16]byte{in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := MustNew(opts).capture(context.Background(), progs[in], 1, uint64(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(y, want) {
+				t.Fatalf("NoiseStd %g: call %d is not capture %d of its input", opts.NoiseStd, n, n)
+			}
+			got = append(got, y)
+		}
+		if repeated := sameBits(got[2], got[3]); repeated != (opts.NoiseStd == 0) {
+			t.Errorf("NoiseStd %g: two captures of one input equal = %v", opts.NoiseStd, repeated)
+		}
+	}
+}
+
+// TestMeasureAveragedContextConcurrent measures several programs at
+// once on one Device and requires the captures it returned measuring
+// them one at a time.
+func TestMeasureAveragedContextConcurrent(t *testing.T) {
+	d := MustNew(DefaultOptions())
+	ctx := context.Background()
+	var programs [][]uint32
+	for seed := int64(1); seed <= 4; seed++ {
+		programs = append(programs, averagingProgram(t, seed))
+	}
+	want := make([][]float64, len(programs))
+	for i, w := range programs {
+		y, err := d.MeasureAveragedContext(ctx, w, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = y
+	}
+	const rounds = 3
+	got := make([][]float64, rounds*len(programs))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k], errs[k] = d.MeasureAveragedContext(ctx, programs[k%len(programs)], 3)
+		}()
+	}
+	wg.Wait()
+	for k, y := range got {
+		if errs[k] != nil {
+			t.Fatal(errs[k])
+		}
+		if !sameBits(y, want[k%len(programs)]) {
+			t.Fatalf("concurrent capture %d of program %d differs from the sequential one", k, k%len(programs))
+		}
 	}
 }
 
 // TestProgramNoiseSeed pins the per-program noise seed to the value the
 // device drew before the seed was built on par.HashWords and par.Mix,
-// so every Measurer capture keeps its noise.
+// so every index-0 capture, and with it every trained model, keeps its
+// noise.
 func TestProgramNoiseSeed(t *testing.T) {
-	if got, want := programNoiseSeed(1, []uint32{0x13, 0x100073}), int64(3639400488017616310); got != want {
+	if got, want := programNoiseSeed(1, []uint32{0x13, 0x100073}, 0), int64(3639400488017616310); got != want {
 		t.Fatalf("programNoiseSeed = %d, want %d", got, want)
 	}
 }

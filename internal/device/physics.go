@@ -116,17 +116,17 @@ func newPhysics(techSeed int64) *physics {
 	// Technology-dependent amplitudes: structural pattern × board factor.
 	for c := 0; c < isa.NumClusters; c++ {
 		for s := 0; s < cpu.NumStages; s++ {
-			p.baseAmp[c][s] = stageActivity[c][s] * (0.75 + 0.5*tech.Float64())
+			p.baseAmp[c][s] = stageActivity[c][s] * (0.75 + float64(0.5*tech.Float64()))
 		}
 	}
 	for s := 0; s < cpu.NumStages; s++ {
-		p.nopAmp[s] = nopActivity[s] * (0.75 + 0.5*tech.Float64())
+		p.nopAmp[s] = nopActivity[s] * (0.75 + float64(0.5*tech.Float64()))
 	}
 
 	// Per-mnemonic deviations within clusters (σ ≈ 4%).
 	p.opScale = make(map[isa.Op]float64, isa.NumOps)
 	for _, op := range isa.AllOps() {
-		p.opScale[op] = 1 + 0.04*tech.NormFloat64()
+		p.opScale[op] = 1 + float64(0.04*tech.NormFloat64())
 	}
 
 	// Sparse per-bit transition weights: ~55% of bits are irrelevant,
@@ -152,7 +152,7 @@ func newPhysics(techSeed int64) *physics {
 
 	// Design-linked couplings: magnitude in [0.6, 1], random sign.
 	for s := 0; s < cpu.NumStages; s++ {
-		m := 0.6 + 0.4*design.Float64()
+		m := 0.6 + float64(0.4*design.Float64())
 		if design.Intn(2) == 0 {
 			m = -m
 		}
@@ -212,7 +212,7 @@ func (p *physics) cycleAmplitude(c *cpu.Cycle, beta *[cpu.NumStages]float64) flo
 	x := p.delta * meanBeta
 	for s := cpu.Stage(0); s < cpu.NumStages; s++ {
 		amp := p.stageAmplitude(s, &c.Stages[s])
-		x += p.coupling[s] * beta[s] * amp
+		x += float64(p.coupling[s] * beta[s] * amp)
 	}
-	return x / (1 + p.compress*math.Abs(x))
+	return x / (1 + float64(p.compress*math.Abs(x)))
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -90,6 +91,45 @@ func TestCombinationConstants(t *testing.T) {
 	}
 	if core.NumGroups != 17 {
 		t.Errorf("NumGroups = %d, want 17 as in the paper", core.NumGroups)
+	}
+}
+
+// TestExperimentsIndependentOfOrder runs a cheap subset of experiments,
+// then other experiments that measure on the shared device, then the
+// subset again, and requires every report to print byte for byte as
+// before: a capture must not depend on the captures made before it.
+func TestExperimentsIndependentOfOrder(t *testing.T) {
+	e := testEnv(t)
+	subset := func() []string {
+		var out []string
+		for _, run := range []func() (fmt.Stringer, error){
+			func() (fmt.Stringer, error) { return e.Figure4() },
+			func() (fmt.Stringer, error) { return e.Figure11() },
+			func() (fmt.Stringer, error) { return e.Figure10(4) },
+		} {
+			r, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r.String())
+		}
+		return out
+	}
+	first := subset()
+	for _, run := range []func() (fmt.Stringer, error){
+		func() (fmt.Stringer, error) { return e.Figure2() },
+		func() (fmt.Stringer, error) { return e.Figure5() },
+		func() (fmt.Stringer, error) { return e.TableI() },
+		func() (fmt.Stringer, error) { return e.Figure10(3) },
+	} {
+		if _, err := run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, again := range subset() {
+		if again != first[i] {
+			t.Errorf("report changed after other experiments ran:\nfirst:\n%s\nagain:\n%s", first[i], again)
+		}
 	}
 }
 

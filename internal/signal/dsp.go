@@ -17,7 +17,7 @@ func RMSE(a, b []float64) (float64, error) {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(a))), nil
 }
@@ -26,7 +26,7 @@ func RMSE(a, b []float64) (float64, error) {
 func Energy(x []float64) float64 {
 	s := 0.0
 	for _, v := range x {
-		s += v * v
+		s += float64(v * v)
 	}
 	return s
 }
@@ -43,9 +43,9 @@ func NCC(a, b []float64) (float64, error) {
 	}
 	var sab, saa, sbb float64
 	for i := range a {
-		sab += a[i] * b[i]
-		saa += a[i] * a[i]
-		sbb += b[i] * b[i]
+		sab += float64(a[i] * b[i])
+		saa += float64(a[i] * a[i])
+		sbb += float64(b[i] * b[i])
 	}
 	//emsim:ignore floatcmp exactly-zero energy distinguishes all-zero signals per the doc contract
 	if saa == 0 && sbb == 0 {

@@ -78,7 +78,7 @@ func (r *Reconstructor) Add(amp float64) {
 	if amp != 0 {
 		out := r.out[base:]
 		for i, tap := range r.taps {
-			out[i] += amp * tap
+			out[i] += float64(amp * tap)
 		}
 	}
 	r.cycles++
