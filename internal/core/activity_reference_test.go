@@ -36,8 +36,8 @@ func referenceActivityRow(c *cpu.Cycle, offsets [cpu.NumStages]int, total int) [
 }
 
 // referenceFitActivity is fitActivity as it was before flip records: the
-// dense rows, stride-subsampled, read one column at a time by
-// StepwiseRegression with the update on one goroutine.
+// dense rows, stride-subsampled, whose columns StepwiseRegression takes
+// packed straight from the rows.
 func (t *Trainer) referenceFitActivity(m *Model, meas []measurement) error {
 	offsets, total := featureOffsets()
 	base := m.WithOptions(ModelOptions{
@@ -74,13 +74,15 @@ func (t *Trainer) referenceFitActivity(m *Model, meas []measurement) error {
 		}
 		feats, resid = f2, r2
 	}
-	sw, err := stats.StepwiseRegression(context.Background(), total, func(f int, dst []float64) {
+	cols := make([][]uint64, total)
+	for f := range cols {
+		cols[f] = make([]uint64, (len(feats)+63)/64)
 		for i, row := range feats {
-			dst[i] = row[f]
+			cols[f][i/64] |= uint64(row[f]) << (i % 64)
 		}
-	}, resid, stats.StepwiseOptions{
+	}
+	sw, err := stats.StepwiseRegression(context.Background(), cols, resid, stats.StepwiseOptions{
 		MaxPredictors: t.opts.MaxActivityBits,
-		Workers:       1,
 	})
 	if err != nil {
 		return err
@@ -105,7 +107,8 @@ func (t *Trainer) referenceFitActivity(m *Model, meas []measurement) error {
 // TestActivityFitMatchesDenseRows holds the activity fit's flip records
 // to the dense rows they replaced. Over random cycles, whose stalled
 // stages carry flip words (a program's never do: a stalled latch holds),
-// every feature column read from the records must equal the dense rows'.
+// every bit column packed from the records must equal the dense rows'
+// column.
 // On the activity captures of a short campaign's device (9,310 active
 // cycles, so the fit subsamples them), the fitted Activity and
 // Background must be bit-equal to the dense-row fit at 1 and 2 workers.
@@ -137,12 +140,22 @@ func TestActivityFitMatchesDenseRows(t *testing.T) {
 	if stalledFlips == 0 {
 		t.Fatal("no random cycle has a stalled stage that flips")
 	}
-	col := make([]float64, len(recs))
-	for f := 0; f < total; f++ {
-		flipColumn(recs, offsets, f, col)
-		for i, row := range rows {
-			if math.Float64bits(col[i]) != math.Float64bits(row[f]) {
-				t.Fatalf("record %d feature %d: column reads %v, dense row %v", i, f, col[i], row[f])
+	cols := flipColumns(recs, offsets, total)
+	if len(cols) != total {
+		t.Fatalf("%d columns for %d features", len(cols), total)
+	}
+	for f, col := range cols {
+		if len(col) != (len(recs)+63)/64 {
+			t.Fatalf("feature %d: %d words for %d records", f, len(col), len(recs))
+		}
+		for i := range 64 * len(col) {
+			bit := float64(col[i/64] >> (i % 64) & 1)
+			want := 0.0 // the last word's bits past the records
+			if i < len(rows) {
+				want = rows[i][f]
+			}
+			if math.Float64bits(bit) != math.Float64bits(want) {
+				t.Fatalf("record %d feature %d: column reads %v, dense row %v", i, f, bit, want)
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,6 +53,40 @@ func TestTrainingIsDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Errorf("two trainings with identical seeds serialized differently (%d vs %d bytes)",
 			len(a), len(b))
+	}
+}
+
+// TestDefaultCampaignModelsPinned pins the models of the default
+// campaign, the one every command trains: at seeds 1 to 4, with 1, 2 and
+// 4 workers, the saved model's SHA-256 must be the one recorded here.
+// Seeds 1 and 3 select the full 80 activity bits of MaxActivityBits,
+// which the golden campaign never reaches. A change that moves any bit of
+// these models must update the hashes on purpose, as a reseed.
+func TestDefaultCampaignModelsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains twelve default campaigns")
+	}
+	want := []string{ // by seed, from 1
+		"56fce33ceb1af839d7a8d687d8aa59a00c29ceb2ea546e84b622580f47111074",
+		"f7af25ebb90a029be03dd0ef7d3ebc768ab0ccc2ff2cf27e4c78a61233f67cfd",
+		"b4a1366dc071205f2845908f5aa815f6c85e35677ac1cac1f75928930d2d4ec9",
+		"eb6544c2e11a002d951b5c732bc76772bc776b5ebc6237a331c597d52164b5dc",
+	}
+	for i, hash := range want {
+		seed := int64(i + 1)
+		for _, workers := range []int{1, 2, 4} {
+			m, err := Train(device.MustNew(device.DefaultOptions()), TrainOptions{Seed: seed, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != hash {
+				t.Errorf("seed %d, %d workers: model SHA-256 %s, pinned %s", seed, workers, got, hash)
+			}
+		}
 	}
 }
 

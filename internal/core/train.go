@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"emsim/internal/cpu"
 	"emsim/internal/linalg"
@@ -34,13 +35,12 @@ type TrainOptions struct {
 	// Defaults: 3 programs of 500 instructions; MixedLength is at most
 	// MaxMixedLength.
 	MixedPrograms, MixedLength int
-	// Workers is the campaign's fan-out width: how many goroutines
-	// capture probe programs on the device concurrently, and how many
-	// goroutines share each step of the activity fit's stepwise update.
-	// The fitted model is byte-identical at every worker count
-	// (per-program noise streams, ordered reduction, and per-column sums
-	// that keep their order), so this is purely a wall-clock knob. 0
-	// selects GOMAXPROCS.
+	// Workers is the campaign's capture fan-out width: how many
+	// goroutines capture probe programs on the device concurrently. The
+	// fits run on the goroutine that calls Run. The fitted model is
+	// byte-identical at every worker count (per-program noise streams and
+	// ordered reduction), so this is purely a wall-clock knob. 0 selects
+	// GOMAXPROCS.
 	Workers int
 	// Progress, when non-nil, receives one event per phase start and
 	// per completed measurement. Worker goroutines invoke it
@@ -80,13 +80,26 @@ func (o *TrainOptions) setDefaults() {
 	}
 }
 
-// Validate reports why NewTrainer would reject opts: a negative worker
-// count, or a campaign size past MaxInstancesPerCluster or
-// MaxMixedLength.
+// Validate reports why NewTrainer would reject opts: a negative campaign
+// size or worker count (zero selects the default), or a campaign size
+// past MaxInstancesPerCluster or MaxMixedLength.
 func (o TrainOptions) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"run count", o.Runs},
+		{"instances per cluster", o.InstancesPerCluster},
+		{"activity bit cap", o.MaxActivityBits},
+		{"mixed program count", o.MixedPrograms},
+		{"mixed length", o.MixedLength},
+		{"worker count", o.Workers},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("core: negative training %s %d", f.name, f.v)
+		}
+	}
 	switch {
-	case o.Workers < 0:
-		return fmt.Errorf("core: negative training worker count %d", o.Workers)
 	case o.InstancesPerCluster > MaxInstancesPerCluster:
 		return fmt.Errorf("core: %d instances per cluster exceeds the limit %d", o.InstancesPerCluster, MaxInstancesPerCluster)
 	case o.MixedLength > MaxMixedLength:
@@ -202,24 +215,33 @@ func recordFlips(c *cpu.Cycle) (rec flipRecord, active bool) {
 	return rec, active
 }
 
-// flipColumn writes global feature f of every record into dst, as 0 or 1.
-func flipColumn(recs []flipRecord, offsets [cpu.NumStages]int, f int, dst []float64) {
-	s := cpu.Stage(0)
-	for s+1 < cpu.NumStages && f >= offsets[s+1] {
-		s++
+// flipColumns packs global feature f of every record into column f, 64
+// records to a word: bit i%64 of word i/64 is record i's bit, the form
+// stats.StepwiseRegression takes.
+func flipColumns(recs []flipRecord, offsets [cpu.NumStages]int, total int) [][]uint64 {
+	words := (len(recs) + 63) / 64
+	buf := make([]uint64, total*words)
+	cols := make([][]uint64, total)
+	for f := range cols {
+		cols[f] = buf[f*words : (f+1)*words : (f+1)*words]
 	}
-	w, b := (f-offsets[s])/32, uint(f-offsets[s])%32
 	for i := range recs {
-		dst[i] = float64(recs[i][s][w] >> b & 1)
+		for s := cpu.Stage(0); s < cpu.NumStages; s++ {
+			for w := 0; w < cpu.LatchWords(s); w++ {
+				for x := recs[i][s][w]; x != 0; x &= x - 1 {
+					cols[offsets[s]+32*w+bits.TrailingZeros32(x)][i/64] |= 1 << (i % 64)
+				}
+			}
+		}
 	}
+	return cols
 }
 
 // fitActivity fits the data-dependent activity term on the residuals of
 // the phase-1 model, with stepwise selection over every stage's
 // transition bits (the paper's pruning of T), plus the equal-weight
-// fallback of Equ. 7 for the Figure 3 ablation. The selection builds its
-// 0/1 columns from per-cycle flip records and shares each step's update
-// across the campaign's Workers.
+// fallback of Equ. 7 for the Figure 3 ablation. The selection takes its
+// 0/1 columns packed from per-cycle flip records.
 func (t *Trainer) fitActivity(ctx context.Context, m *Model, meas []measurement) error {
 	offsets, total := featureOffsets()
 
@@ -261,11 +283,8 @@ func (t *Trainer) fitActivity(ctx context.Context, m *Model, meas []measurement)
 		recs, resid = rec2, r2
 	}
 
-	sw, err := stats.StepwiseRegression(ctx, total, func(f int, dst []float64) {
-		flipColumn(recs, offsets, f, dst)
-	}, resid, stats.StepwiseOptions{
+	sw, err := stats.StepwiseRegression(ctx, flipColumns(recs, offsets, total), resid, stats.StepwiseOptions{
 		MaxPredictors: t.opts.MaxActivityBits,
-		Workers:       t.opts.Workers,
 	})
 	if err != nil {
 		return err

@@ -269,6 +269,38 @@ func TestNewTrainerRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
+// TestNewTrainerRejectsNegativeCampaignSizes: a campaign size is zero,
+// which selects its default, or positive. A negative one fails Validate,
+// so NewTrainer rejects it before any capture.
+func TestNewTrainerRejectsNegativeCampaignSizes(t *testing.T) {
+	dev := device.MustNew(device.DefaultOptions())
+	cases := []struct {
+		name string
+		set  func(*TrainOptions)
+	}{
+		{"Runs", func(o *TrainOptions) { o.Runs = -2 }},
+		{"InstancesPerCluster", func(o *TrainOptions) { o.InstancesPerCluster = -3 }},
+		{"MaxActivityBits", func(o *TrainOptions) { o.MaxActivityBits = -1 }},
+		{"MixedPrograms", func(o *TrainOptions) { o.MixedPrograms = -1 }},
+		{"MixedLength", func(o *TrainOptions) { o.MixedLength = -5 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := smallCampaign()
+			tc.set(&opts)
+			if err := opts.Validate(); err == nil || !strings.Contains(err.Error(), "negative") {
+				t.Errorf("Validate = %v, want a negative-size error", err)
+			}
+			if _, err := NewTrainer(dev, opts); err == nil {
+				t.Error("NewTrainer accepted it")
+			}
+		})
+	}
+	if err := (TrainOptions{}).Validate(); err != nil {
+		t.Errorf("zero options, every size its default: %v", err)
+	}
+}
+
 // TestCampaignSizeLimits holds the campaign size limits to the scratch
 // data they protect. At the largest accepted sizes, every program the
 // activity and MISO generators make, over twenty campaign seeds, ends

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
+	"math/bits"
 
 	"emsim/internal/linalg"
-	"emsim/internal/par"
 )
 
 // RegressionResult holds a fitted linear model y ≈ Intercept + X·Coef.
@@ -131,10 +130,6 @@ type StepwiseOptions struct {
 	MaxPredictors int
 	// FEnter scales the F-to-enter threshold; 0 means 1.0 (the 5% level).
 	FEnter float64
-	// Workers is how many goroutines share each step's candidate update:
-	// 0 selects GOMAXPROCS, and 1 runs the update inline. The result is
-	// bit-identical at every width.
-	Workers int
 }
 
 // StepwiseRegression performs forward stepwise selection with an
@@ -142,25 +137,42 @@ type StepwiseOptions struct {
 // repeatedly adds the candidate predictor with the largest F statistic, as
 // long as that statistic exceeds the critical value. This is how the paper
 // prunes the transition-bit vector T by more than 65% without losing
-// accuracy. The p candidates are columns of len(y) samples that col
-// fills, as for LinearRegression; col is called once per candidate to set
-// up, and twice per selected column for the final refit. A cancelled ctx
-// stops the selection at its next step.
+// accuracy. The candidates are 0/1 columns of len(y) rows, packed 64 to a
+// word: bit i%64 of word i/64 of cols[c] is candidate c at row i. Every
+// column has (len(y)+63)/64 words and no bit set at or past len(y); any
+// other column is an error. The final fit over the selected columns is
+// LinearRegression's. A cancelled ctx stops the selection at its next
+// step.
 //
-// Every candidate column is kept residualized against the selected set
-// (incremental modified Gram-Schmidt): when a column enters the model,
-// each remaining candidate is orthogonalized against it once, so a full
-// selection pass costs O(n·p·k) rather than the O(n·p·k²) of
-// re-orthogonalizing every candidate from scratch at every step; the same
-// pass refreshes each candidate's dot product with the residual, so the
-// scan needs no pass of its own. That update runs on opts.Workers
-// goroutines (see foldAll). The scores are exactly the OLS
+// The selection never forms a column of floats: it works in the Gram
+// domain of the candidates centred on their means. For 0/1 columns a and
+// b of popcounts pa and pb, n times their centred cross-product is the
+// exact integer n·popcount(a∧b) − pa·pb, so each candidate keeps only its
+// residual squared norm, its cross-product with the residual of y and
+// one row of L, the candidates' coordinates along the orthonormal
+// directions the selected columns added (the rows of a Cholesky factor).
+// When column b enters, the candidates' new coordinates come from their
+// Gram entries with b and the rows of L, so a step costs
+// O(live·(n/64 + k)) for k selected columns. The scores are the OLS
 // residual-sum-of-squares reductions, and ties break toward the lowest
 // column index, so the selection is deterministic.
-func StepwiseRegression(ctx context.Context, p int, col func(c int, dst []float64), y []float64, opts StepwiseOptions) (*StepwiseResult, error) {
-	n := len(y)
+func StepwiseRegression(ctx context.Context, cols [][]uint64, y []float64, opts StepwiseOptions) (*StepwiseResult, error) {
+	n, p := len(y), len(cols)
 	if n == 0 {
 		return nil, fmt.Errorf("stats: stepwise needs a nonempty y")
+	}
+	words := (n + 63) / 64
+	var pastEnd uint64 // the last word's bits at or past row n
+	if n%64 != 0 {
+		pastEnd = ^uint64(0) << (n % 64)
+	}
+	for c, col := range cols {
+		if len(col) != words {
+			return nil, fmt.Errorf("stats: stepwise column %d has %d words for %d rows, want %d", c, len(col), n, words)
+		}
+		if col[words-1]&pastEnd != 0 {
+			return nil, fmt.Errorf("stats: stepwise column %d sets a bit at or past row %d", c, n)
+		}
 	}
 	maxSel := p
 	if opts.MaxPredictors > 0 && opts.MaxPredictors < maxSel {
@@ -174,15 +186,10 @@ func StepwiseRegression(ctx context.Context, p int, col func(c int, dst []float6
 	if fScale == 0 {
 		fScale = 1
 	}
-	width := opts.Workers
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
 
-	// The intercept is the first basis direction; the residual r tracks y
-	// minus its projection onto the model so far, and vc[c] tracks each
-	// candidate column minus its projection onto the same span. Both are
-	// updated in place as columns enter the model.
+	// The intercept is the first basis direction; the residual r is y
+	// minus its projection onto it, and rssCur its sum of squares, which
+	// each entering column lowers by its score.
 	q0 := 1 / math.Sqrt(float64(n))
 	r := append([]float64(nil), y...)
 	g0 := 0.0
@@ -193,40 +200,49 @@ func StepwiseRegression(ctx context.Context, p int, col func(c int, dst []float6
 		r[i] -= float64(g0 * q0)
 	}
 	rssCur := linalg.Dot(r, r)
+	rbar := Mean(r)
 
-	// live lists, in ascending order, the candidates that may still
-	// enter. One that enters, or whose residual norm falls to the
-	// collinearity tolerance, leaves for good: its column is never
-	// updated again, so the test that dropped it would drop it at every
-	// later step.
-	colNorm2 := make([]float64, p) // original norms, the collinearity yardstick
-	vc := make([][]float64, p)
-	vcNorm2 := make([]float64, p)
-	gr := make([]float64, p) // gr[c] = vc[c]·r, the scan's numerator
+	// Each candidate c keeps its popcount (its squared norm, the
+	// collinearity yardstick), the squared norm of its centred column
+	// residualized against the selected set, and that residual's
+	// cross-product with r, the scan's numerator. The centred column's
+	// cross-product with r is the sum of r over c's rows less popcount
+	// times the mean of r: r sums to zero only up to rounding, and when y
+	// is constant r is all rounding, which the sum alone would take for
+	// signal. live lists, in
+	// ascending order, the candidates that may still enter. One that
+	// enters, or whose residual norm falls to the collinearity tolerance,
+	// leaves for good: its entries are never updated again, so the test
+	// that dropped it would drop it at every later step.
+	nf := float64(n)
+	count := make([]float64, p)
+	norm2 := make([]float64, p)
+	gr := make([]float64, p)
 	live := make([]int, 0, p)
-	v := make([]float64, n)
-	for c := 0; c < p; c++ {
-		col(c, v)
-		colNorm2[c] = linalg.Dot(v, v)
-		g := 0.0
-		for _, e := range v {
-			g += float64(e * q0)
+	for c, col := range cols {
+		pc, g := 0, 0.0
+		for w, x := range col {
+			pc += bits.OnesCount64(x)
+			for ; x != 0; x &= x - 1 {
+				g += r[64*w+bits.TrailingZeros64(x)]
+			}
 		}
-		for i := range v {
-			v[i] -= float64(g * q0)
+		count[c] = float64(pc)
+		norm2[c] = float64(count[c]*(nf-count[c])) / nf
+		// norm2 is <= 0 only for a column of all zeros or all ones, and
+		// the tolerance test covers both.
+		if norm2[c] <= 1e-12*count[c] {
+			continue // collinear with the intercept
 		}
-		vcNorm2[c] = linalg.Dot(v, v)
-		// vcNorm2 is a sum of squares, so it is <= 0 only when exactly
-		// zero — the tolerance test alone covers the all-zero column.
-		if vcNorm2[c] <= 1e-12*colNorm2[c] {
-			continue // collinear with the intercept; v takes the next candidate
-		}
-		gr[c] = linalg.Dot(v, r)
-		vc[c] = v
+		gr[c] = g - float64(count[c]*rbar)
 		live = append(live, c)
-		v = make([]float64, n)
 	}
 
+	// Row c of the flat p × maxSel buffer l holds candidate c's centred
+	// column's coordinates along the directions of the selected columns,
+	// in selection order.
+	stride := max(maxSel, 0)
+	l := make([]float64, p*stride)
 	selected := []int{}
 	for len(selected) < maxSel {
 		if err := ctx.Err(); err != nil {
@@ -240,10 +256,10 @@ func StepwiseRegression(ctx context.Context, p int, col func(c int, dst []float6
 		best, bestCol, bestDelta := -1, -1, 0.0
 		kept := live[:0]
 		for _, c := range live {
-			if vcNorm2[c] <= 1e-12*colNorm2[c] {
+			if norm2[c] <= 1e-12*count[c] {
 				continue // (near-)collinear with the current model
 			}
-			delta := gr[c] * gr[c] / vcNorm2[c]
+			delta := gr[c] * gr[c] / norm2[c]
 			if delta > bestDelta {
 				best, bestCol, bestDelta = len(kept), c, delta
 			}
@@ -262,108 +278,50 @@ func StepwiseRegression(ctx context.Context, p int, col func(c int, dst []float6
 		if bestDelta/denom < crit {
 			break
 		}
+		k := len(selected)
 		selected = append(selected, bestCol)
 		live = append(live[:best], live[best+1:]...)
-		// The winner, normalized, is the next basis direction; fold it out
-		// of the residual and every remaining candidate (modified
-		// Gram-Schmidt step).
-		q := vc[bestCol]
-		inv := 1 / math.Sqrt(vcNorm2[bestCol])
-		for i := range q {
-			q[i] *= inv
-		}
-		g := linalg.Dot(q, r)
-		for i := range r {
-			r[i] -= float64(g * q[i])
-		}
 		rssCur -= bestDelta
 		if rssCur < 0 {
 			rssCur = 0
 		}
-		if err := foldAll(ctx, width, q, r, live, vc, vcNorm2, gr); err != nil {
-			return nil, err
+		// The winner's residual, scaled to unit norm, is the next basis
+		// direction q = v_b/s. Each live candidate's coordinate along it
+		// is its Gram entry with b less the part along the earlier
+		// directions, over s; folding q out lowers the candidate's norm
+		// by the coordinate squared and its cross-product with r by the
+		// coordinate times t = q·r.
+		b := cols[bestCol]
+		lb := l[bestCol*stride : bestCol*stride+k]
+		s := math.Sqrt(norm2[bestCol])
+		t := gr[bestCol] / s
+		for _, c := range live {
+			col := cols[c][:len(b)]
+			both := 0
+			for w, x := range col {
+				both += bits.OnesCount64(x & b[w])
+			}
+			gram := (float64(nf*float64(both)) - float64(count[c]*count[bestCol])) / nf
+			lc := l[c*stride : c*stride+k+1]
+			d := 0.0
+			for j, v := range lb {
+				d += float64(lc[j] * v)
+			}
+			lck := (gram - d) / s
+			lc[k] = lck
+			norm2[c] -= float64(lck * lck)
+			gr[c] -= float64(lck * t)
 		}
 	}
 
-	model, err := LinearRegression(len(selected), func(k int, dst []float64) { col(selected[k], dst) }, y)
+	model, err := LinearRegression(len(selected), func(k int, dst []float64) {
+		col := cols[selected[k]]
+		for i := range dst {
+			dst[i] = float64(col[i/64] >> (i % 64) & 1)
+		}
+	}, y)
 	if err != nil {
 		return nil, err
 	}
 	return &StepwiseResult{Selected: selected, Model: model, Dropped: p - len(selected)}, nil
-}
-
-// foldAll runs foldOut over the live candidates. At a width above one they
-// split into contiguous blocks of whole four-column groups, one per
-// goroutine on par.Ordered. A block writes only its own columns and their
-// vcNorm2 and gr entries, and no column's sums depend on the split, so
-// the result is bit-identical at every width.
-func foldAll(ctx context.Context, width int, q, r []float64, live []int, vc [][]float64, vcNorm2, gr []float64) error {
-	groups := (len(live) + 3) / 4
-	blocks := min(width, groups)
-	if blocks <= 1 {
-		foldOut(q, r, live, vc, vcNorm2, gr)
-		return nil
-	}
-	return par.Ordered(ctx, blocks, blocks,
-		func() (struct{}, error) { return struct{}{}, nil },
-		func(_ context.Context, _ struct{}, b int) (struct{}, error) {
-			lo, hi := 4*(b*groups/blocks), min(4*((b+1)*groups/blocks), len(live))
-			foldOut(q, r, live[lo:hi], vc, vcNorm2, gr)
-			return struct{}{}, nil
-		},
-		func(int, struct{}) error { return nil })
-}
-
-// foldOut folds the unit direction q out of each candidate column in cs
-// and refreshes the column's squared norm and its dot product with the
-// residual r. Four candidates share each pass over q and r; the tail runs
-// the same sums one column at a time. Every sum runs in index order, as
-// linalg.Dot does, so the result is bit-identical to updating one column
-// at a time.
-func foldOut(q, r []float64, cs []int, vc [][]float64, vcNorm2, gr []float64) {
-	r = r[:len(q)]
-	for ; len(cs) >= 4; cs = cs[4:] {
-		v0, v1, v2, v3 := vc[cs[0]][:len(q)], vc[cs[1]][:len(q)], vc[cs[2]][:len(q)], vc[cs[3]][:len(q)]
-		var d0, d1, d2, d3 float64
-		for i, qi := range q {
-			d0 += float64(qi * v0[i])
-			d1 += float64(qi * v1[i])
-			d2 += float64(qi * v2[i])
-			d3 += float64(qi * v3[i])
-		}
-		var n0, n1, n2, n3, g0, g1, g2, g3 float64
-		for i, qi := range q {
-			ri := r[i]
-			e := v0[i] - float64(d0*qi)
-			v0[i] = e
-			n0 += float64(e * e)
-			g0 += float64(e * ri)
-			e = v1[i] - float64(d1*qi)
-			v1[i] = e
-			n1 += float64(e * e)
-			g1 += float64(e * ri)
-			e = v2[i] - float64(d2*qi)
-			v2[i] = e
-			n2 += float64(e * e)
-			g2 += float64(e * ri)
-			e = v3[i] - float64(d3*qi)
-			v3[i] = e
-			n3 += float64(e * e)
-			g3 += float64(e * ri)
-		}
-		vcNorm2[cs[0]], vcNorm2[cs[1]], vcNorm2[cs[2]], vcNorm2[cs[3]] = n0, n1, n2, n3
-		gr[cs[0]], gr[cs[1]], gr[cs[2]], gr[cs[3]] = g0, g1, g2, g3
-	}
-	for _, c := range cs {
-		v := vc[c][:len(q)]
-		d := linalg.Dot(q, v)
-		nrm, g := 0.0, 0.0
-		for i, qi := range q {
-			e := v[i] - float64(d*qi)
-			v[i] = e
-			nrm += float64(e * e)
-			g += float64(e * r[i])
-		}
-		vcNorm2[c], gr[c] = nrm, g
-	}
 }

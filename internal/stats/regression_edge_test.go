@@ -12,24 +12,28 @@ import (
 // transition-bit columns (many bits toggle together), all-zero columns
 // (bits that never switch in the training set), more candidates than
 // samples, and F statistics that sit exactly on the entry threshold.
-// Each case uses a hand-computable design built from the mutually
-// orthogonal, zero-mean vectors
+// Each case uses a hand-computable design built from the 0/1 columns
 //
-//	c0 = (1, 1, -1, -1)   c1 = (1, -1, 1, -1)   c2 = (1, -1, -1, 1)
+//	c0 = (1, 1, 0, 0)   c1 = (1, 0, 1, 0)   c2 = (1, 0, 0, 1)
 //
-// so the RSS reductions, F statistics, selected sets and Dropped counts
-// are exact small integers, not properties of a random draw.
+// whose centred forms, half the sign vectors
+//
+//	s0 = (1, 1, -1, -1)   s1 = (1, -1, 1, -1)   s2 = (1, -1, -1, 1),
+//
+// are mutually orthogonal, so the RSS reductions, F statistics, selected
+// sets and Dropped counts are exact small integers, not properties of a
+// random draw.
 func TestStepwiseEdgeCases(t *testing.T) {
-	c0 := []float64{1, 1, -1, -1}
-	c1 := []float64{1, -1, 1, -1}
-	c2 := []float64{1, -1, -1, 1}
+	c0 := []float64{1, 1, 0, 0}
+	c1 := []float64{1, 0, 1, 0}
+	c2 := []float64{1, 0, 0, 1}
 	zero := []float64{0, 0, 0, 0}
 
-	// target mixes the basis vectors with the given weights.
+	// target mixes the sign vectors with the given weights.
 	target := func(w0, w1, w2 float64) []float64 {
 		y := make([]float64, 4)
 		for i := range y {
-			y[i] = w0*c0[i] + w1*c1[i] + w2*c2[i]
+			y[i] = w0*(2*c0[i]-1) + w1*(2*c1[i]-1) + w2*(2*c2[i]-1)
 		}
 		return y
 	}
@@ -54,9 +58,9 @@ func TestStepwiseEdgeCases(t *testing.T) {
 			wantDropped:  1,
 		},
 		{
-			// An all-zero predictor has colNorm2 = 0; the tolerance test
-			// nv2 <= 1e-12·colNorm2 reduces to 0 <= 0 and skips it, so
-			// only the real column can enter.
+			// An all-zero predictor has popcount 0 and centred norm 0; the
+			// tolerance test norm2 <= 1e-12·popcount reduces to 0 <= 0
+			// and skips it, so only the real column can enter.
 			name:         "all-zero predictor never selected",
 			x:            [][]float64{zero, c0},
 			y:            target(5, 0, 0),
@@ -119,7 +123,7 @@ func TestStepwiseEdgeCases(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := StepwiseRegression(context.Background(), len(tc.x), copyColumn(tc.x), tc.y, tc.opts)
+			res, err := StepwiseRegression(context.Background(), bitColumns(tc.x), tc.y, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,14 +149,14 @@ func TestStepwiseEdgeCases(t *testing.T) {
 
 	t.Run("intercept-only model is the mean", func(t *testing.T) {
 		y := []float64{1, 2, 3, 4}
-		res, err := StepwiseRegression(context.Background(), 2, copyColumn([][]float64{zero, zero}), y, StepwiseOptions{})
+		res, err := StepwiseRegression(context.Background(), bitColumns([][]float64{zero, zero}), y, StepwiseOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := res.Model.Intercept; math.Abs(got-2.5) > 1e-12 {
 			t.Errorf("intercept = %g, want 2.5", got)
 		}
-		if got := predictSelected(res, []float64{7, 9}); math.Abs(got-2.5) > 1e-12 {
+		if got := predictSelected(res, []float64{1, 1}); math.Abs(got-2.5) > 1e-12 {
 			t.Errorf("prediction = %g, want the mean 2.5", got)
 		}
 		if got, want := res.Model.RSS, interceptOnlyRSS(y); math.Abs(got-want) > 1e-12 {
@@ -161,22 +165,69 @@ func TestStepwiseEdgeCases(t *testing.T) {
 	})
 }
 
+// TestStepwiseConstantTargetSelectsNothing: a constant y leaves a
+// residual of pure rounding after the intercept step (11.5 at 49 rows
+// does), which carries no signal for any column to fit.
+func TestStepwiseConstantTargetSelectsNothing(t *testing.T) {
+	const n = 49
+	y := make([]float64, n)
+	most, few := make([]float64, n), make([]float64, n)
+	for i := range y {
+		y[i] = 11.5
+		most[i] = float64(min(i%5, 1)) // 39 of 49 rows
+		few[i] = float64(1 - min(i%5, 1))
+	}
+	res, err := StepwiseRegression(context.Background(), bitColumns([][]float64{most, few}), y, StepwiseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Selected) != 0 || res.Dropped != 2 {
+		t.Errorf("selected %v from a constant target", res.Selected)
+	}
+}
+
 // TestStepwiseColumnsStopsWhenCancelled checks that a cancelled context
 // ends the selection with the context's error instead of a model.
 func TestStepwiseColumnsStopsWhenCancelled(t *testing.T) {
 	x, y, _ := stepwiseProblem(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := StepwiseRegression(ctx, len(x[0]), rowColumn(x), y, StepwiseOptions{Workers: 2})
+	res, err := StepwiseRegression(ctx, bitColumns(x), y, StepwiseOptions{})
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("StepwiseRegression on a cancelled context = %v, %v; want context.Canceled", res, err)
 	}
 }
 
-// copyColumn reads a design given as its columns, the form
-// StepwiseRegression takes.
-func copyColumn(cols [][]float64) func(c int, dst []float64) {
-	return func(c int, dst []float64) { copy(dst, cols[c]) }
+// TestStepwiseRejectsMalformedInput checks that an empty y, a column of
+// the wrong word count and a bit at or past len(y) are errors, not
+// panics or silent fits.
+func TestStepwiseRejectsMalformedInput(t *testing.T) {
+	y := make([]float64, 70) // two words per column, six bits of the second in use
+	ok := make([]uint64, 2)
+	cases := []struct {
+		name string
+		cols [][]uint64
+		y    []float64
+	}{
+		{"empty y", nil, nil},
+		{"empty y with a column", [][]uint64{{}}, nil},
+		{"short column", [][]uint64{ok, {1}}, y},
+		{"long column", [][]uint64{ok, {1, 0, 0}}, y},
+		{"bit at len(y)", [][]uint64{ok, {0, 1 << 6}}, y},
+		{"top bit of the last word", [][]uint64{ok, {0, 1 << 63}}, y},
+		{"extra word at a whole-word length", [][]uint64{{0, 0}}, y[:64]},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if res, err := StepwiseRegression(context.Background(), tc.cols, tc.y, StepwiseOptions{}); err == nil {
+				t.Errorf("accepted, selected %v", res.Selected)
+			}
+		})
+	}
+	// The last row itself is in range.
+	if _, err := StepwiseRegression(context.Background(), [][]uint64{{0, 1 << 5}}, y, StepwiseOptions{}); err != nil {
+		t.Errorf("a bit at row len(y)-1: %v", err)
+	}
 }
 
 // interceptOnlyRSS is the null model's residual sum of squares.

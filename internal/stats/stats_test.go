@@ -123,9 +123,24 @@ func fitRows(x [][]float64, y []float64) (*RegressionResult, error) {
 	return LinearRegression(len(x[0]), rowColumn(x), y)
 }
 
-// stepwiseRows is StepwiseRegression over a design given as rows.
+// stepwiseRows is StepwiseRegression over a 0/1 design given as rows.
 func stepwiseRows(x [][]float64, y []float64, opts StepwiseOptions) (*StepwiseResult, error) {
-	return StepwiseRegression(context.Background(), len(x[0]), rowColumn(x), y, opts)
+	col := rowColumn(x)
+	cols := make([][]float64, len(x[0]))
+	for c := range cols {
+		cols[c] = make([]float64, len(x))
+		col(c, cols[c])
+	}
+	return StepwiseRegression(context.Background(), bitColumns(cols), y, opts)
+}
+
+// bitRow draws p independent fair 0/1 features.
+func bitRow(r *rand.Rand, p int) []float64 {
+	row := make([]float64, p)
+	for j := range row {
+		row[j] = float64(r.Intn(2))
+	}
+	return row
 }
 
 // predict evaluates a fitted model on one feature vector.
@@ -138,7 +153,7 @@ func predict(r *RegressionResult, x []float64) float64 {
 }
 
 func TestStepwiseSelectsTrueSupport(t *testing.T) {
-	// 20 candidate features; only 3 matter. Stepwise must find exactly
+	// 20 candidate bits; only 3 matter. Stepwise must find exactly
 	// those and drop the rest (the paper's >65% reduction of T).
 	r := rand.New(rand.NewSource(3))
 	n, p := 400, 20
@@ -146,10 +161,7 @@ func TestStepwiseSelectsTrueSupport(t *testing.T) {
 	var x [][]float64
 	var y []float64
 	for i := 0; i < n; i++ {
-		row := make([]float64, p)
-		for j := range row {
-			row[j] = r.NormFloat64()
-		}
+		row := bitRow(r, p)
 		x = append(x, row)
 		y = append(y, 1+3*row[true1]-2*row[true2]+0.8*row[true3]+0.01*r.NormFloat64())
 	}
@@ -174,10 +186,7 @@ func TestStepwiseSelectsTrueSupport(t *testing.T) {
 		t.Errorf("dropped only %d of %d candidates", res.Dropped, p)
 	}
 	// Prediction quality on the full feature vector.
-	row := make([]float64, p)
-	for j := range row {
-		row[j] = r.NormFloat64()
-	}
+	row := bitRow(r, p)
 	want1 := 1 + 3*row[true1] - 2*row[true2] + 0.8*row[true3]
 	if gotv := predictSelected(res, row); math.Abs(gotv-want1) > 0.1 {
 		t.Errorf("prediction = %v, want %v", gotv, want1)
@@ -200,11 +209,7 @@ func TestStepwiseNoSignal(t *testing.T) {
 	var x [][]float64
 	var y []float64
 	for i := 0; i < 200; i++ {
-		row := make([]float64, 10)
-		for j := range row {
-			row[j] = r.NormFloat64()
-		}
-		x = append(x, row)
+		x = append(x, bitRow(r, 10))
 		y = append(y, r.NormFloat64())
 	}
 	res, err := stepwiseRows(x, y, StepwiseOptions{})
@@ -222,8 +227,8 @@ func TestStepwiseCollinearColumns(t *testing.T) {
 	var x [][]float64
 	var y []float64
 	for i := 0; i < 100; i++ {
-		v := r.NormFloat64()
-		noise := r.NormFloat64()
+		v := float64(r.Intn(2))
+		noise := float64(r.Intn(2))
 		x = append(x, []float64{v, v, noise})
 		y = append(y, 2*v)
 	}
@@ -247,7 +252,7 @@ func TestStepwiseMaxPredictors(t *testing.T) {
 	var x [][]float64
 	var y []float64
 	for i := 0; i < 100; i++ {
-		row := []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
+		row := bitRow(r, 3)
 		x = append(x, row)
 		y = append(y, row[0]+row[1]+row[2])
 	}
@@ -532,27 +537,6 @@ func TestHierarchicalClusterErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkStepwise96Features(b *testing.B) {
-	r := rand.New(rand.NewSource(9))
-	n, p := 500, 96
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, p)
-		for j := range row {
-			row[j] = r.NormFloat64()
-		}
-		x[i] = row
-		y[i] = 2*row[3] - row[40] + 0.5*row[77] + 0.05*r.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stepwiseRows(x, y, StepwiseOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStepwiseTrainingShape runs the selection at the activity
 // fit's real size: 3,957 rows of 384 0/1 transition-bit columns, 56 of
 // them never set, capped at 80 predictors, against a target over 120 of
@@ -578,13 +562,13 @@ func BenchmarkStepwiseTrainingShape(b *testing.B) {
 			}
 		}
 	}
-	col := func(k int, dst []float64) { copy(dst, x[k]) }
+	cols := bitColumns(x)
 	for i := range y {
 		y[i] += r.NormFloat64()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := StepwiseRegression(context.Background(), p, col, y, StepwiseOptions{MaxPredictors: steps})
+		res, err := StepwiseRegression(context.Background(), cols, y, StepwiseOptions{MaxPredictors: steps})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -612,7 +596,7 @@ func BenchmarkWelchT(b *testing.B) {
 
 // TestStepwiseMatchesFullOLSWhenUnconstrained: with a permissive F
 // threshold and no cap, stepwise over a well-conditioned full-signal
-// problem must converge to (essentially) the full OLS fit.
+// 0/1 problem must converge to (essentially) the full OLS fit.
 func TestStepwiseMatchesFullOLSWhenUnconstrained(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	n, p := 300, 6
@@ -620,10 +604,9 @@ func TestStepwiseMatchesFullOLSWhenUnconstrained(t *testing.T) {
 	y := make([]float64, n)
 	coef := []float64{2, -1, 0.5, 3, -2.5, 1.5}
 	for i := 0; i < n; i++ {
-		row := make([]float64, p)
+		row := bitRow(r, p)
 		s := 0.5
 		for j := range row {
-			row[j] = r.NormFloat64()
 			s += coef[j] * row[j]
 		}
 		x[i] = row
@@ -642,10 +625,7 @@ func TestStepwiseMatchesFullOLSWhenUnconstrained(t *testing.T) {
 	}
 	// Compare predictions on fresh points.
 	for trial := 0; trial < 20; trial++ {
-		row := make([]float64, p)
-		for j := range row {
-			row[j] = r.NormFloat64()
-		}
+		row := bitRow(r, p)
 		a := predict(full, row)
 		b := predictSelected(sw, row)
 		if math.Abs(a-b) > 1e-6 {
